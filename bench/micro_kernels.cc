@@ -10,8 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -27,67 +25,6 @@ using namespace tako;
 namespace
 {
 
-/**
- * The pre-calendar-queue kernel, kept verbatim as the baseline the
- * BM_EventQueueSchedule* comparison is measured against: std::function
- * entries (heap-allocating for captures past the SBO) in a binary heap.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    void
-    schedule(Tick delta, Callback fn,
-             EventPriority prio = EventPriority::Default)
-    {
-        events_.push(Entry{now_ + delta, static_cast<int>(prio),
-                           nextSeq_++, std::move(fn)});
-    }
-
-    bool
-    step()
-    {
-        if (events_.empty())
-            return false;
-        Entry e = std::move(const_cast<Entry &>(events_.top()));
-        events_.pop();
-        now_ = e.when;
-        e.fn();
-        return true;
-    }
-
-    void
-    run()
-    {
-        while (step()) {}
-    }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
-        Callback fn;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            if (priority != o.priority)
-                return priority > o.priority;
-            return seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        events_;
-    Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-};
-
 void
 BM_EventQueueSchedule(benchmark::State &state)
 {
@@ -101,20 +38,6 @@ BM_EventQueueSchedule(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(count));
 }
 BENCHMARK(BM_EventQueueSchedule);
-
-void
-BM_EventQueueScheduleLegacy(benchmark::State &state)
-{
-    LegacyEventQueue eq;
-    std::uint64_t count = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 1024; ++i)
-            eq.schedule(static_cast<Tick>(i % 7), [&count]() { ++count; });
-        eq.run();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_EventQueueScheduleLegacy);
 
 void
 BM_EventQueueFarFuture(benchmark::State &state)

@@ -21,7 +21,6 @@
 #define TAKO_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -88,8 +87,11 @@ struct CacheWay
 class CacheArray
 {
   public:
-    /** Predicate restricting victim choice (e.g., skip locked lines). */
-    using CanEvict = std::function<bool(const CacheWay &)>;
+    /** findVictim's default constraint: every way may be evicted. */
+    struct AnyWay
+    {
+        bool operator()(const CacheWay &) const { return true; }
+    };
 
     CacheArray(std::uint64_t size_bytes, unsigned ways, ReplPolicy repl)
         : ways_(ways), repl_(repl)
@@ -172,19 +174,17 @@ class CacheArray
      *
      * @param inserting_morph the incoming line is morph-registered; under
      *        Trrip the last non-morph line of the set is protected.
-     * @param can_evict additional constraint (locked lines, etc.).
+     * @param can_evict additional constraint (locked lines, etc.): a
+     *        callable taking a const CacheWay& and returning bool.
      * @return the victim way, or nullptr if no way satisfies the
      *         constraints (caller must retry/wait).
      */
+    template <typename CanEvict = AnyWay>
     CacheWay *
     findVictim(Addr line_addr, bool inserting_morph,
                const CanEvict &can_evict = {})
     {
         auto ways = set(setIndex(line_addr));
-
-        auto allowed = [&](const CacheWay &w) {
-            return !can_evict || can_evict(w);
-        };
 
         // trrîp morph-reserve rule (Sec. 5.2): a set must always retain
         // one way with no Morph registered (invalid counts), so there is
@@ -211,7 +211,7 @@ class CacheArray
         }
 
         auto candidate_ok = [&](const CacheWay &w) {
-            return &w != protected_way && allowed(w);
+            return &w != protected_way && can_evict(w);
         };
 
         switch (repl_) {
@@ -307,8 +307,9 @@ class CacheArray
     }
 
     /** Visit every valid way (flush walks, invariant checks). */
+    template <typename F>
     void
-    forEachValid(const std::function<void(CacheWay &)> &fn)
+    forEachValid(F &&fn)
     {
         for (CacheWay &w : ways_storage_) {
             if (w.valid)

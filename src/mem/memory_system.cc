@@ -197,10 +197,7 @@ MemorySystem::inflight() const
 Task<>
 MemorySystem::hop(int src, int dst, unsigned bytes, LatBreakdown *bd)
 {
-    const Tick t0 = ctxNow(eq_);
-    co_await noc_.walk(dom_, src, dst, bytes);
-    if (bd)
-        bd->noc += ctxNow(eq_) - t0;
+    return noc_.walk(dom_, src, dst, bytes, bd ? &bd->noc : nullptr);
 }
 
 Task<std::uint64_t>
@@ -1274,39 +1271,40 @@ MemorySystem::maybePrefetch(int tile, Addr miss_line)
     constexpr std::uint64_t regionBytes = 4096;
     const std::uint64_t region = miss_line / regionBytes;
 
-    auto it = t.streams.find(region);
-    if (it == t.streams.end()) {
+    TileState::Stream *st = t.findStream(region);
+    if (!st) {
         // A stream crossing into a fresh region continues its run.
-        auto prev = t.streams.find((miss_line - lineBytes) / regionBytes);
+        TileState::Stream *prev =
+            t.findStream((miss_line - lineBytes) / regionBytes);
         unsigned run = 0;
         Addr next_issue = 0;
-        if (prev != t.streams.end() &&
-            prev->second.lastLine == miss_line - lineBytes) {
-            run = prev->second.run + 1;
-            next_issue = prev->second.nextIssue;
-            if (prev->first != region)
-                t.streams.erase(prev);
+        if (prev && prev->lastLine == miss_line - lineBytes) {
+            run = prev->run + 1;
+            next_issue = prev->nextIssue;
+            t.dropStream(prev);
         }
-        if (t.streams.size() >= 16) {
-            auto lru = std::min_element(
-                t.streams.begin(), t.streams.end(),
-                [](const auto &a, const auto &b) {
-                    return a.second.lastUse < b.second.lastUse;
-                });
-            t.streams.erase(lru);
+        if (t.streamCount >= TileState::maxStreams) {
+            TileState::Stream *lru = &t.streams[0];
+            for (unsigned i = 1; i < t.streamCount; ++i) {
+                if (t.streams[i].lastUse < lru->lastUse)
+                    lru = &t.streams[i];
+            }
+            t.dropStream(lru);
         }
-        it = t.streams.emplace(region, TileState::Stream{}).first;
-        it->second.run = run;
-        it->second.nextIssue = next_issue;
-    } else if (miss_line == it->second.lastLine + lineBytes) {
-        ++it->second.run;
-    } else if (miss_line != it->second.lastLine) {
-        it->second.run = 0;
-        it->second.nextIssue = 0;
+        st = &t.streams[t.streamCount++];
+        *st = TileState::Stream{};
+        st->region = region;
+        st->run = run;
+        st->nextIssue = next_issue;
+    } else if (miss_line == st->lastLine + lineBytes) {
+        ++st->run;
+    } else if (miss_line != st->lastLine) {
+        st->run = 0;
+        st->nextIssue = 0;
     }
-    it->second.lastLine = miss_line;
-    it->second.lastUse = ++t.streamClock;
-    if (it->second.run < 2)
+    st->lastLine = miss_line;
+    st->lastUse = ++t.streamClock;
+    if (st->run < 2)
         return;
 
     // Adaptive degree: throttle when prefetched lines die unused.
@@ -1328,17 +1326,18 @@ MemorySystem::maybePrefetch(int tile, Addr miss_line)
     // never re-requests lines the stream already prefetched (they may
     // have been evicted, but re-fetching them wholesale thrashes DRAM).
     const MorphBinding *mb = resolve(tile, miss_line);
-    const Addr start =
-        std::max(miss_line + lineBytes, it->second.nextIssue);
+    const Addr start = std::max(miss_line + lineBytes, st->nextIssue);
     const Addr end =
         miss_line + std::uint64_t(t.pfDegree) * lineBytes;
     for (Addr cand = start; cand <= end; cand += lineBytes) {
         if (resolve(tile, cand) != mb)
             break; // don't cross morph/range boundaries
-        it->second.nextIssue = cand + lineBytes;
-        if (t.inflightPrefetch.contains(cand) || t.l2.lookup(cand))
+        st->nextIssue = cand + lineBytes;
+        if (std::find(t.inflightPrefetch.begin(), t.inflightPrefetch.end(),
+                      cand) != t.inflightPrefetch.end() ||
+            t.l2.lookup(cand))
             continue;
-        t.inflightPrefetch.insert(cand);
+        t.inflightPrefetch.push_back(cand);
         ++*prefetchesIssued_;
         ++t.pfIssuedWindow;
         spawn(prefetchLine(tile, cand));
@@ -1354,7 +1353,12 @@ MemorySystem::prefetchLine(int tile, Addr line)
     r.tile = tile;
     r.prefetch = true;
     co_await access(r);
-    tiles_[tile]->inflightPrefetch.erase(line);
+    std::vector<Addr> &inflight = tiles_[tile]->inflightPrefetch;
+    auto it = std::find(inflight.begin(), inflight.end(), line);
+    if (it != inflight.end()) {
+        *it = inflight.back();
+        inflight.pop_back();
+    }
 }
 
 void

@@ -26,10 +26,10 @@
 #ifndef TAKO_MEM_MEMORY_SYSTEM_HH
 #define TAKO_MEM_MEMORY_SYSTEM_HH
 
+#include <array>
 #include <coroutine>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -306,17 +306,39 @@ class MemorySystem
         // so interleaved random traffic does not break stream detection.
         struct Stream
         {
+            std::uint64_t region = 0;
             Addr lastLine = invalidAddr;
             /** High-water mark of issued prefetches (no re-issue). */
             Addr nextIssue = 0;
             unsigned run = 0;
             std::uint64_t lastUse = 0;
         };
-        // Ordered (takolint D1): the LRU victim scan below iterates, and
-        // lastUse ties would otherwise break on hash order.
-        std::map<std::uint64_t, Stream> streams;
+        static constexpr unsigned maxStreams = 16;
+        // Flat, unordered: lookups are by region and the LRU victim has
+        // the unique minimum lastUse (a monotonic clock), so no result
+        // depends on slot order.
+        std::array<Stream, maxStreams> streams{};
+        unsigned streamCount = 0;
         std::uint64_t streamClock = 0;
-        std::set<Addr> inflightPrefetch;
+        /** Lines with a prefetch in flight; unordered, membership only. */
+        std::vector<Addr> inflightPrefetch;
+
+        Stream *
+        findStream(std::uint64_t region)
+        {
+            for (unsigned i = 0; i < streamCount; ++i) {
+                if (streams[i].region == region)
+                    return &streams[i];
+            }
+            return nullptr;
+        }
+
+        /** Remove @p s by moving the last live stream into its slot. */
+        void
+        dropStream(Stream *s)
+        {
+            *s = streams[--streamCount];
+        }
 
         // Usefulness-based prefetch throttling: when prefetched lines
         // die unused (thrash), back the degree off; when they are
@@ -394,6 +416,8 @@ class MemorySystem
      * Walk the NoC from @p src to @p dst, migrating the transaction to
      * the destination tile's domain; everything after the co_await runs
      * there. Charges the walk to @p bd 's noc component when given.
+     * Not a coroutine: it returns Mesh::walk's task itself, so a message
+     * costs one coroutine frame, not two.
      */
     Task<> hop(int src, int dst, unsigned bytes,
                LatBreakdown *bd = nullptr);

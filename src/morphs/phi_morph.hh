@@ -60,8 +60,11 @@ class PhiMorph : public Morph
                    binCapacityBytes_;
     }
 
-    std::uint64_t inPlaceLines() const { return inPlaceLines_; }
-    std::uint64_t binnedUpdates() const { return binnedUpdates_; }
+    /** Lines applied in place, summed over the banks' lanes. Call
+     *  only while no domain is executing. */
+    std::uint64_t inPlaceLines() const;
+    /** Updates logged to bins, summed over the banks' lanes. */
+    std::uint64_t binnedUpdates() const;
 
     /**
      * Drain staged (not yet line-complete) bin entries after flushData.
@@ -99,8 +102,18 @@ class PhiMorph : public Morph
     };
     std::vector<Staged> staging_;
 
-    std::uint64_t inPlaceLines_ = 0;
-    std::uint64_t binnedUpdates_ = 0;
+    /**
+     * Outcome counters, one cache-line-sized lane per bank. Callbacks of
+     * one bank's engine view all run in that tile's domain, so under
+     * --shards>1 each lane has a single writer thread; the accessors
+     * sum the lanes after the run.
+     */
+    struct alignas(64) BankLane
+    {
+        std::uint64_t inPlaceLines = 0;
+        std::uint64_t binnedUpdates = 0;
+    };
+    std::vector<BankLane> lanes_;
 };
 
 } // namespace tako

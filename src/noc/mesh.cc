@@ -99,7 +99,7 @@ Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
 }
 
 Task<>
-Mesh::walk(Domains &dom, int src, int dst, unsigned bytes)
+Mesh::walk(Domains &dom, int src, int dst, unsigned bytes, Tick *latency)
 {
     ++*messages_;
     const unsigned flits =
@@ -109,8 +109,12 @@ Mesh::walk(Domains &dom, int src, int dst, unsigned bytes)
     if (src == dst) {
         ++*localMessages_;
         co_await dom.hopTo(src, params_.routerDelay);
+        if (latency)
+            *latency += params_.routerDelay;
         co_return;
     }
+
+    const Tick sent = detail::execCtx.queue->now();
 
     int x = src % static_cast<int>(params_.dimX);
     int y = src / static_cast<int>(params_.dimX);
@@ -172,6 +176,8 @@ Mesh::walk(Domains &dom, int src, int dst, unsigned bytes)
     *flitHopsStat_ += static_cast<double>(std::uint64_t(flits) * hop_count);
     energy_.nocFlitHops(std::uint64_t(flits) * hop_count);
     co_await dom.hopToAbs(dst, head);
+    if (latency)
+        *latency += head - sent;
 }
 
 void

@@ -64,8 +64,11 @@ class Mesh
      * invariant) rather than at send time. The X leg hops column to
      * column (one event per router); the Y leg is one segment, since a
      * whole column shares a domain under the column-band plan.
+     * When @p latency is given, the walk's latency (send to tail-flit
+     * arrival) is added to *@p latency.
      */
-    Task<> walk(Domains &dom, int src, int dst, unsigned bytes);
+    Task<> walk(Domains &dom, int src, int dst, unsigned bytes,
+                Tick *latency = nullptr);
 
     std::uint64_t flitHops() const { return flitHops_; }
 

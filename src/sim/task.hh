@@ -226,17 +226,35 @@ struct DetachedTask
 };
 
 /**
- * Start @p task detached; call @p on_done (if set) when it completes.
- * The task runs its first step immediately.
+ * Start @p task detached; call @p on_done when it completes. The task
+ * runs its first step immediately. The completion is stored by value in
+ * the detached frame, so no std::function is built per spawn.
  */
-inline void
-spawn(Task<> task, std::function<void()> on_done = {})
+template <typename F>
+void
+spawn(Task<> task, F on_done)
 {
-    [](Task<> t, std::function<void()> done) -> DetachedTask {
+    [](Task<> t, F done) -> DetachedTask {
         co_await std::move(t);
+        done();
+    }(std::move(task), std::move(on_done));
+}
+
+/** Start @p task detached, with nothing to run on completion. */
+inline void
+spawn(Task<> task)
+{
+    spawn(std::move(task), [] {});
+}
+
+/** Type-erased completion; an empty @p on_done is skipped. */
+inline void
+spawn(Task<> task, std::function<void()> on_done)
+{
+    spawn(std::move(task), [done = std::move(on_done)] {
         if (done)
             done();
-    }(std::move(task), std::move(on_done));
+    });
 }
 
 /**

@@ -19,6 +19,7 @@
 #include "sim/shard.hh"
 #include "system/system.hh"
 #include "workloads/decompress.hh"
+#include "workloads/pagerank_push.hh"
 
 using namespace tako;
 
@@ -337,6 +338,41 @@ TEST(ShardedSystem, SixteenTileRunIsBitIdenticalAcrossShardCounts)
                 << name << " differs at shards=" << shards;
         }
     }
+}
+
+namespace
+{
+
+/** A 16-tile PHI run's RunMetrics::extra at a given shard count. PHI's
+ *  inPlaceLines/binnedUpdates live in the morph, not the StatsRegistry,
+ *  and are bumped from every bank's engine callbacks — from several
+ *  worker threads at once when sharded. */
+std::map<std::string, double>
+phiExtras(unsigned shards)
+{
+    SystemConfig cfg = SystemConfig::forCores(16);
+    cfg.mem.l2Size = 8 * 1024;
+    cfg.mem.l3BankSize = 32 * 1024;
+    cfg.shards = shards;
+    PagerankPushConfig pc;
+    pc.graph.numVertices = (std::uint64_t{1} << 12);
+    pc.threads = 16;
+    pc.regionVertices = 256;
+    return runPagerankPush(PushVariant::Phi, pc, cfg).extra;
+}
+
+} // namespace
+
+TEST(ShardedSystem, PhiOutcomeCountersMatchAcrossShardCounts)
+{
+    const auto ref = phiExtras(1);
+    ASSERT_EQ(ref.at("correct"), 1.0);
+    ASSERT_GT(ref.at("inPlaceLines"), 0.0);
+    ASSERT_GT(ref.at("binnedUpdates"), 0.0);
+    const auto got = phiExtras(4);
+    EXPECT_EQ(got.at("correct"), 1.0);
+    EXPECT_EQ(got.at("inPlaceLines"), ref.at("inPlaceLines"));
+    EXPECT_EQ(got.at("binnedUpdates"), ref.at("binnedUpdates"));
 }
 
 TEST(ShardedSystem, ClampsShardRequestBeyondColumns)

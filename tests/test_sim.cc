@@ -237,6 +237,17 @@ TEST(Task, SpawnOnDoneFires)
     EXPECT_EQ(count, 2);
 }
 
+TEST(Task, SpawnSkipsEmptyTypeErasedCompletion)
+{
+    EventQueue eq;
+    int count = 0;
+    spawn(delayTwice(eq, 1, count), {});
+    std::function<void()> none;
+    spawn(delayTwice(eq, 1, count), none);
+    eq.run();
+    EXPECT_EQ(count, 4);
+}
+
 TEST(Task, FramesComeFromArenaAndAreReused)
 {
     // Coroutine frames allocate through FrameArena (task.hh promise

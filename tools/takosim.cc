@@ -138,7 +138,8 @@ usage(int code)
         "                     with --profile/--folded/--trace-out/\n"
         "                     --sample-every/--sample)\n"
         "  --list-workloads   print workloads and their variants\n"
-        "  --version          print the embedded git revision\n"
+        "  --version          print the git revision, build type and "
+        "C++ flags\n"
         "  --help             this text\n");
     std::exit(code);
 }
@@ -178,7 +179,8 @@ parse(int argc, char **argv)
         if (key == "--help" || key == "-h")
             usage(0);
         else if (key == "--version") {
-            std::printf("takosim %s\n", TAKO_GIT_REV);
+            std::printf("takosim %s\nbuild_type: %s\ncxx_flags: %s\n",
+                        TAKO_GIT_REV, TAKO_BUILD_TYPE, TAKO_CXX_FLAGS);
             std::exit(0);
         } else if (key == "--list-workloads")
             listWorkloads();

@@ -13,10 +13,11 @@
 #define TAKO_MEM_BACKING_STORE_HH
 
 #include <array>
+#include <atomic>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -39,6 +40,20 @@ struct LineData
     }
 };
 
+/**
+ * Functional memory as a four-level radix page table: 4 KB pages under
+ * interior nodes of 1024 atomic slots (8 KB each), indexed by the page
+ * number ten bits per level, so the table spans 2^52 bytes.
+ *
+ * Lookups are lock-free acquire loads, so shard domains committing
+ * functional data never contend on the common path. Interior nodes and
+ * pages are created under one mutex, double-checked, and published with
+ * a release store; they are never freed, so a pointer once loaded
+ * cannot dangle. Word accesses go through the page pointer unguarded,
+ * which is safe because coherence serializes every same-line access
+ * (one M/E owner at a time) and distinct words never alias. Reads of
+ * untouched pages return zero and allocate nothing.
+ */
 class BackingStore
 {
   public:
@@ -48,7 +63,7 @@ class BackingStore
     std::uint64_t
     read64(Addr addr) const
     {
-        const Page *page = findPage(addr);
+        const Page *page = findPage(pageNumber(addr));
         if (!page)
             return 0;
         return page->words[wordIndex(addr)];
@@ -88,7 +103,7 @@ class BackingStore
         panic_if(lineOffset(addr) != 0, "readLine: unaligned %#llx",
                  (unsigned long long)addr);
         LineData out;
-        const Page *page = findPage(addr);
+        const Page *page = findPage(pageNumber(addr));
         if (page) {
             std::memcpy(out.words.data(), &page->words[wordIndex(addr)],
                         lineBytes);
@@ -118,12 +133,8 @@ class BackingStore
     std::size_t
     allocatedPages() const
     {
-        std::size_t n = 0;
-        for (const Stripe &s : stripes_) {
-            std::lock_guard<std::mutex> g(s.mu);
-            n += s.pages.size();
-        }
-        return n;
+        std::lock_guard<std::mutex> g(growMu_);
+        return pages_.size();
     }
 
   private:
@@ -132,26 +143,21 @@ class BackingStore
         std::array<std::uint64_t, pageBytes / 8> words{};
     };
 
-    /**
-     * Pages shard across 64 stripes by page number so shard domains
-     * committing functional data rarely contend on the same map. Only
-     * the map structure is guarded: word accesses go through the
-     * returned pointer unguarded, which is safe because coherence
-     * serializes every same-line access (one M/E owner at a time) and
-     * distinct words never alias. Pages are never freed, so pointers
-     * obtained under the lock cannot dangle. (The previous single-entry
-     * mutable MRU cache was dropped: it was a write on the read path,
-     * a data race under decomposition.)
-     */
-    struct Stripe
+    static constexpr unsigned levelBits = 10;
+    static constexpr unsigned levels = 4;
+    /** Address bits the table covers: page offset plus four levels. */
+    static constexpr unsigned addrBits = 52;
+    static constexpr std::uint64_t slotMask = (1u << levelBits) - 1;
+    static_assert((pageBytes << (levels * levelBits)) ==
+                  std::uint64_t{1} << addrBits);
+
+    /** Interior node: slots hold Node * above the last level and
+     *  Page * in it. */
+    struct Node
     {
-        mutable std::mutex mu;
-        std::map<std::uint64_t, std::unique_ptr<Page>> pages;
+        std::array<std::atomic<void *>, std::size_t{1} << levelBits>
+            slots{};
     };
-
-    static constexpr std::size_t numStripes = 64;
-
-    static std::uint64_t pageNumber(Addr addr) { return addr / pageBytes; }
 
     static std::size_t
     wordIndex(Addr addr)
@@ -159,29 +165,78 @@ class BackingStore
         return (addr % pageBytes) / 8;
     }
 
-    const Page *
-    findPage(Addr addr) const
+    /** Page number of @p addr; panics beyond the table's range. */
+    static std::uint64_t
+    pageNumber(Addr addr)
     {
-        const std::uint64_t pn = pageNumber(addr);
-        const Stripe &s = stripes_[pn % numStripes];
-        std::lock_guard<std::mutex> g(s.mu);
-        auto it = s.pages.find(pn);
-        return it == s.pages.end() ? nullptr : it->second.get();
+        panic_if(addr >> addrBits != 0,
+                 "BackingStore: address %#llx is beyond the 2^%u-byte "
+                 "functional memory",
+                 (unsigned long long)addr, addrBits);
+        return addr / pageBytes;
+    }
+
+    /** Slot of page number @p pn in a node at depth @p depth (0 is the
+     *  root). */
+    static std::size_t
+    slotOf(std::uint64_t pn, unsigned depth)
+    {
+        return (pn >> (levelBits * (levels - 1 - depth))) & slotMask;
+    }
+
+    /** Page holding @p pn, or null when it was never written. */
+    Page *
+    findPage(std::uint64_t pn) const
+    {
+        const Node *n = &root_;
+        for (unsigned d = 0; d + 1 < levels; ++d) {
+            n = static_cast<const Node *>(
+                n->slots[slotOf(pn, d)].load(std::memory_order_acquire));
+            if (!n)
+                return nullptr;
+        }
+        return static_cast<Page *>(n->slots[slotOf(pn, levels - 1)].load(
+            std::memory_order_acquire));
     }
 
     Page &
     getPage(Addr addr)
     {
         const std::uint64_t pn = pageNumber(addr);
-        Stripe &s = stripes_[pn % numStripes];
-        std::lock_guard<std::mutex> g(s.mu);
-        auto &slot = s.pages[pn];
-        if (!slot)
-            slot = std::make_unique<Page>();
-        return *slot;
+        if (Page *page = findPage(pn))
+            return *page;
+        return allocPage(pn);
     }
 
-    std::array<Stripe, numStripes> stripes_;
+    /** Slow path: create whatever is missing on @p pn 's path. */
+    Page &
+    allocPage(std::uint64_t pn)
+    {
+        std::lock_guard<std::mutex> g(growMu_);
+        Node *n = &root_;
+        for (unsigned d = 0; d + 1 < levels; ++d) {
+            std::atomic<void *> &slot = n->slots[slotOf(pn, d)];
+            void *next = slot.load(std::memory_order_acquire);
+            if (!next) {
+                nodes_.push_back(std::make_unique<Node>());
+                next = nodes_.back().get();
+                slot.store(next, std::memory_order_release);
+            }
+            n = static_cast<Node *>(next);
+        }
+        std::atomic<void *> &slot = n->slots[slotOf(pn, levels - 1)];
+        if (void *page = slot.load(std::memory_order_acquire))
+            return *static_cast<Page *>(page);
+        pages_.push_back(std::make_unique<Page>());
+        Page *page = pages_.back().get();
+        slot.store(page, std::memory_order_release);
+        return *page;
+    }
+
+    Node root_;
+    mutable std::mutex growMu_; ///< guards nodes_, pages_ and publication
+    std::vector<std::unique_ptr<Node>> nodes_;
+    std::vector<std::unique_ptr<Page>> pages_;
 };
 
 } // namespace tako

@@ -194,7 +194,7 @@ MemorySystem::inflight() const
 // Main access path
 // ---------------------------------------------------------------------
 
-Task<>
+Mesh::Walk
 MemorySystem::hop(int src, int dst, unsigned bytes, LatBreakdown *bd)
 {
     return noc_.walk(dom_, src, dst, bytes, bd ? &bd->noc : nullptr);
@@ -835,16 +835,11 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev)
         LineData data = storeFor(line).readLine(line);
         if (mb->phantom) {
             phantomStore_.zeroLine(line);
-            launchEvictionCallback(bank_tile, line, *mb, dirty, data, {});
+            launchEvictionCallback(bank_tile, line, *mb, dirty, data);
         } else {
-            std::function<void()> after;
-            if (dirty) {
-                after = [this, bank_tile, line]() {
-                    dramWriteback(bank_tile, line);
-                };
-            }
             launchEvictionCallback(bank_tile, line, *mb, dirty, data,
-                                   std::move(after));
+                                   dirty ? AfterEviction::DramWriteback
+                                         : AfterEviction::Nothing);
         }
     } else if (!isPhantom(line)) {
         if (dirty)
@@ -909,18 +904,13 @@ MemorySystem::evictL2Way(int tile, CacheWay &w)
         LineData data = storeFor(line).readLine(line);
         if (mb->phantom) {
             phantomStore_.zeroLine(line);
-            launchEvictionCallback(tile, line, *mb, dirty, data, {});
+            launchEvictionCallback(tile, line, *mb, dirty, data);
         } else {
             // Real line: callback first, then the writeback proceeds.
             updateDirectoryOnPrivateEvict(tile, line, dirty);
-            std::function<void()> after;
-            if (dirty) {
-                after = [this, tile, line]() {
-                    spawn(writebackToL3Task(tile, line));
-                };
-            }
             launchEvictionCallback(tile, line, *mb, dirty, data,
-                                   std::move(after));
+                                   dirty ? AfterEviction::WritebackToL3
+                                         : AfterEviction::Nothing);
         }
     } else if (!isPhantom(line)) {
         updateDirectoryOnPrivateEvict(tile, line, dirty);
@@ -977,7 +967,7 @@ MemorySystem::invalidateTileCopies(int tile, Addr line,
             // eviction callback even when the eviction is inflicted by
             // the directory (inclusion victim / invalidation).
             LineData data = storeFor(line).readLine(line);
-            launchEvictionCallback(tile, line, *mb, w2->dirty, data, {});
+            launchEvictionCallback(tile, line, *mb, w2->dirty, data);
         }
         w2->invalidate();
     }
@@ -987,8 +977,7 @@ MemorySystem::invalidateTileCopies(int tile, Addr line,
 void
 MemorySystem::launchEvictionCallback(int engine_tile, Addr line,
                                      const MorphBinding &mb, bool dirty,
-                                     LineData data,
-                                     std::function<void()> after)
+                                     LineData data, AfterEviction after)
 {
     const bool has = dirty ? mb.hasWriteback : mb.hasEviction;
     // The +1 posts now, from this very event, so a flusher that evicts
@@ -997,9 +986,17 @@ MemorySystem::launchEvictionCallback(int engine_tile, Addr line,
     // increment.
     dom_.post(0, dom_.quantum(),
               [this, id = mb.id]() { ++outstanding_[id].count; });
-    auto retire = [this, id = mb.id, after = std::move(after)]() {
-        if (after)
-            after();
+    auto retire = [this, id = mb.id, engine_tile, line, after]() {
+        switch (after) {
+          case AfterEviction::Nothing:
+            break;
+          case AfterEviction::DramWriteback:
+            dramWriteback(engine_tile, line);
+            break;
+          case AfterEviction::WritebackToL3:
+            spawn(writebackToL3Task(engine_tile, line));
+            break;
+        }
         evictionCallbackRetired(id);
     };
     if (has && sink_) {

@@ -416,11 +416,11 @@ class MemorySystem
      * Walk the NoC from @p src to @p dst, migrating the transaction to
      * the destination tile's domain; everything after the co_await runs
      * there. Charges the walk to @p bd 's noc component when given.
-     * Not a coroutine: it returns Mesh::walk's task itself, so a message
-     * costs one coroutine frame, not two.
+     * Returns Mesh::walk's awaiter, which lives in the awaiting frame:
+     * a message costs no coroutine frame of its own.
      */
-    Task<> hop(int src, int dst, unsigned bytes,
-               LatBreakdown *bd = nullptr);
+    Mesh::Walk hop(int src, int dst, unsigned bytes,
+                   LatBreakdown *bd = nullptr);
 
     /**
      * Directory-inflicted visit to @p tile on behalf of bank @p bank:
@@ -516,11 +516,20 @@ class MemorySystem
      */
     bool invalidateTileCopies(int tile, Addr line, bool trigger_callbacks);
 
+    /** Follow-up a retiring eviction callback releases, at the
+     *  callback's tile and line. */
+    enum class AfterEviction : std::uint8_t
+    {
+        Nothing,
+        DramWriteback, ///< dramWriteback(): dirty shared-morph L3 victim
+        WritebackToL3, ///< writebackToL3Task(): dirty private-morph L2 victim
+    };
+
     /** Launch the eviction/writeback callback for a captured line. */
     void launchEvictionCallback(int engine_tile, Addr line,
                                 const MorphBinding &mb, bool dirty,
                                 LineData data,
-                                std::function<void()> after = {});
+                                AfterEviction after = AfterEviction::Nothing);
 
     /** Apply the functional effect of a committed access. */
     std::uint64_t doFunctional(const AccessReq &req);

@@ -42,13 +42,41 @@ Mesh::hops(int src, int dst) const
     return static_cast<unsigned>(std::abs(sx - dx) + std::abs(sy - dy));
 }
 
+unsigned
+Mesh::flitsOf(unsigned bytes) const
+{
+    return std::max<unsigned>(
+        1, static_cast<unsigned>(divCeil(bytes, params_.flitBytes)));
+}
+
+Tick
+Mesh::reserveLink(std::size_t li, Tick head, unsigned flits)
+{
+    Tick &free = linkFree_[li];
+    const Tick start = std::max(head, free);
+    free = start + flits;
+    if (!linkBusy_.empty()) {
+        linkBusy_[li] += flits;
+        ++linkMsgs_[li];
+    }
+    return start;
+}
+
+void
+Mesh::chargeFlitHops(unsigned flits, unsigned hops, bool aggregate)
+{
+    const std::uint64_t n = std::uint64_t(flits) * hops;
+    if (aggregate)
+        flitHops_ += n;
+    *flitHopsStat_ += static_cast<double>(n);
+    energy_.nocFlitHops(n);
+}
+
 Tick
 Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
 {
     ++*messages_;
-    const unsigned flits =
-        std::max<unsigned>(1, static_cast<unsigned>(
-                                  divCeil(bytes, params_.flitBytes)));
+    const unsigned flits = flitsOf(bytes);
 
     if (src == dst) {
         // Local delivery still crosses the tile router once, but books
@@ -76,14 +104,7 @@ Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
             ny += (dy > y) ? 1 : -1;
         }
         const int tile = y * static_cast<int>(params_.dimX) + x;
-        const std::size_t li = linkIndex(tile, dir);
-        Tick &free = linkFree_[li];
-        const Tick start = std::max(head, free);
-        free = start + flits;
-        if (!linkBusy_.empty()) {
-            linkBusy_[li] += flits;
-            ++linkMsgs_[li];
-        }
+        const Tick start = reserveLink(linkIndex(tile, dir), head, flits);
         head = start + params_.routerDelay + params_.linkDelay;
         ++hop_count;
         x = nx;
@@ -92,92 +113,86 @@ Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
     // Destination router plus tail-flit serialization.
     head += params_.routerDelay + (flits - 1);
 
-    flitHops_ += std::uint64_t(flits) * hop_count;
-    *flitHopsStat_ += static_cast<double>(std::uint64_t(flits) * hop_count);
-    energy_.nocFlitHops(std::uint64_t(flits) * hop_count);
+    chargeFlitHops(flits, hop_count, true);
     return head - now;
 }
 
-Task<>
-Mesh::walk(Domains &dom, int src, int dst, unsigned bytes, Tick *latency)
+void
+Mesh::Walk::await_suspend(std::coroutine_handle<> caller)
 {
-    ++*messages_;
-    const unsigned flits =
-        std::max<unsigned>(1, static_cast<unsigned>(
-                                  divCeil(bytes, params_.flitBytes)));
+    caller_ = caller;
+    ++*mesh_.messages_;
 
-    if (src == dst) {
-        ++*localMessages_;
-        co_await dom.hopTo(src, params_.routerDelay);
-        if (latency)
-            *latency += params_.routerDelay;
-        co_return;
+    if (src_ == dst_) {
+        ++*mesh_.localMessages_;
+        ticks_ = mesh_.params_.routerDelay;
+        dom_.post(src_, ticks_, [this] { arrive(); });
+        return;
     }
 
-    const Tick sent = detail::execCtx.queue->now();
+    const int dimX = static_cast<int>(mesh_.params_.dimX);
+    ticks_ = detail::execCtx.queue->now();
+    x_ = src_ % dimX;
+    y_ = src_ / dimX;
+    step();
+}
 
-    int x = src % static_cast<int>(params_.dimX);
-    int y = src / static_cast<int>(params_.dimX);
-    const int dx = dst % static_cast<int>(params_.dimX);
-    const int dy = dst / static_cast<int>(params_.dimX);
-    unsigned hop_count = 0;
+void
+Mesh::Walk::step()
+{
+    Mesh &m = mesh_;
+    const int dimX = static_cast<int>(m.params_.dimX);
+    const int dx = dst_ % dimX;
 
     // X leg: every hop crosses a column, so each reservation happens in
     // an event at the link's source tile (its owning domain) at the head
     // flit's arrival tick, and the next arrival is routerDelay+linkDelay
     // (= one quantum) ahead — exactly the plan's lookahead floor.
-    while (x != dx) {
-        const int dir = (dx > x) ? East : West;
-        const int tile = y * static_cast<int>(params_.dimX) + x;
-        const std::size_t li = linkIndex(tile, dir);
-        Tick &free = linkFree_[li];
-        const Tick here = detail::execCtx.queue->now();
-        const Tick start = std::max(here, free);
-        free = start + flits;
-        if (!linkBusy_.empty()) {
-            linkBusy_[li] += flits;
-            ++linkMsgs_[li];
-        }
-        ++hop_count;
-        x += (dx > x) ? 1 : -1;
-        const int next = y * static_cast<int>(params_.dimX) + x;
-        co_await dom.hopToAbs(next,
-                              start + params_.routerDelay +
-                                  params_.linkDelay);
+    if (x_ != dx) {
+        const int dir = (dx > x_) ? East : West;
+        const Tick start =
+            m.reserveLink(m.linkIndex(y_ * dimX + x_, dir),
+                          detail::execCtx.queue->now(), flits_);
+        ++hops_;
+        x_ += (dx > x_) ? 1 : -1;
+        dom_.postAbs(y_ * dimX + x_,
+                     start + m.params_.routerDelay + m.params_.linkDelay,
+                     [this] { step(); });
+        return;
     }
 
     // Y leg: the whole column belongs to the current domain, so the
     // remaining links are reserved here and now, in one event, with the
     // same per-hop recurrence traverse() uses.
+    const int dy = dst_ / dimX;
     Tick head = detail::execCtx.queue->now();
-    while (y != dy) {
-        const int dir = (dy > y) ? South : North;
-        const int tile = y * static_cast<int>(params_.dimX) + x;
-        const std::size_t li = linkIndex(tile, dir);
-        Tick &free = linkFree_[li];
-        const Tick start = std::max(head, free);
-        free = start + flits;
-        if (!linkBusy_.empty()) {
-            linkBusy_[li] += flits;
-            ++linkMsgs_[li];
-        }
-        head = start + params_.routerDelay + params_.linkDelay;
-        ++hop_count;
-        y += (dy > y) ? 1 : -1;
+    while (y_ != dy) {
+        const int dir = (dy > y_) ? South : North;
+        const Tick start =
+            m.reserveLink(m.linkIndex(y_ * dimX + x_, dir), head, flits_);
+        head = start + m.params_.routerDelay + m.params_.linkDelay;
+        ++hops_;
+        y_ += (dy > y_) ? 1 : -1;
     }
     // Destination router plus tail-flit serialization.
-    head += params_.routerDelay + (flits - 1);
+    head += m.params_.routerDelay + (flits_ - 1);
 
     // The plain aggregate backs the flitHops() accessor (profiler
     // cross-checks); with several domains it would be a data race, and
     // the laned noc.flitHops stat already carries the total.
-    if (dom.domainCount() == 1)
-        flitHops_ += std::uint64_t(flits) * hop_count;
-    *flitHopsStat_ += static_cast<double>(std::uint64_t(flits) * hop_count);
-    energy_.nocFlitHops(std::uint64_t(flits) * hop_count);
-    co_await dom.hopToAbs(dst, head);
-    if (latency)
-        *latency += head - sent;
+    m.chargeFlitHops(flits_, hops_, dom_.domainCount() == 1);
+    ticks_ = head - ticks_;
+    dom_.postAbs(dst_, head, [this] { arrive(); });
+}
+
+void
+Mesh::Walk::arrive()
+{
+    if (latency_)
+        *latency_ += ticks_;
+    // Last touch of *this: resuming the caller ends the co_await
+    // expression that owns this awaiter.
+    caller_.resume();
 }
 
 void

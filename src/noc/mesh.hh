@@ -12,12 +12,12 @@
 #ifndef TAKO_NOC_MESH_HH
 #define TAKO_NOC_MESH_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
 #include "energy/energy.hh"
 #include "sim/stats.hh"
-#include "sim/task.hh"
 #include "sim/types.hh"
 
 namespace tako
@@ -54,6 +54,8 @@ class Mesh
      */
     Tick traverse(Tick now, int src, int dst, unsigned bytes);
 
+    class Walk;
+
     /**
      * Domain-decomposed delivery: the message walks the XY path as a
      * chain of router-arrival events, reserving each directed link in
@@ -66,9 +68,13 @@ class Mesh
      * whole column shares a domain under the column-band plan.
      * When @p latency is given, the walk's latency (send to tail-flit
      * arrival) is added to *@p latency.
+     *
+     * The result is an awaiter, not a coroutine: `co_await walk(...)`
+     * keeps the walk's state in the awaiting frame, and the arrival
+     * event resumes the caller directly.
      */
-    Task<> walk(Domains &dom, int src, int dst, unsigned bytes,
-                Tick *latency = nullptr);
+    Walk walk(Domains &dom, int src, int dst, unsigned bytes,
+              Tick *latency = nullptr);
 
     std::uint64_t flitHops() const { return flitHops_; }
 
@@ -98,6 +104,18 @@ class Mesh
         return static_cast<std::size_t>(tile) * 4 + dir;
     }
 
+    /** Flits a @p bytes -byte message occupies (at least one). */
+    unsigned flitsOf(unsigned bytes) const;
+
+    /**
+     * Book link @p li for @p flits cycles for a head flit arriving at
+     * @p head; returns the tick the head flit starts crossing.
+     */
+    Tick reserveLink(std::size_t li, Tick head, unsigned flits);
+
+    /** Charge @p hops hops of a @p flits -flit message to the stats. */
+    void chargeFlitHops(unsigned flits, unsigned hops, bool aggregate);
+
     MeshParams params_;
     EnergyModel &energy_;
     Counter *messages_;
@@ -108,6 +126,59 @@ class Mesh
     std::vector<std::uint64_t> linkBusy_; ///< empty unless profiling
     std::vector<std::uint64_t> linkMsgs_;
 };
+
+/**
+ * One in-flight Mesh::walk(). It lives in the awaiting coroutine's frame
+ * as the `co_await` temporary, so a message allocates no frame of its
+ * own: await_suspend() counts the message and books the first hop, each
+ * X-leg router arrival is an event running step(), and the arrival event
+ * at the destination adds the latency and resumes the caller.
+ */
+class [[nodiscard]] Mesh::Walk
+{
+  public:
+    Walk(const Walk &) = delete;
+    Walk &operator=(const Walk &) = delete;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> caller);
+    void await_resume() const noexcept {}
+
+  private:
+    friend class Mesh;
+
+    Walk(Mesh &mesh, Domains &dom, int src, int dst, unsigned bytes,
+         Tick *latency)
+        : mesh_(mesh), dom_(dom), latency_(latency), src_(src), dst_(dst),
+          flits_(mesh.flitsOf(bytes))
+    {
+    }
+
+    /** Book the next X-leg link, or the Y leg and the arrival. */
+    void step();
+
+    /** Arrival at the destination tile: charge and resume the caller. */
+    void arrive();
+
+    Mesh &mesh_;
+    Domains &dom_;
+    Tick *latency_;
+    std::coroutine_handle<> caller_;
+    /** Send tick until the arrival is booked, then the latency. */
+    Tick ticks_ = 0;
+    int src_;
+    int dst_;
+    int x_ = 0; ///< column of the router the head flit is at
+    int y_ = 0;
+    unsigned flits_;
+    unsigned hops_ = 0;
+};
+
+inline Mesh::Walk
+Mesh::walk(Domains &dom, int src, int dst, unsigned bytes, Tick *latency)
+{
+    return Walk(*this, dom, src, dst, bytes, latency);
+}
 
 } // namespace tako
 

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mem/backing_store.hh"
 #include "mem/cache_array.hh"
 
 using namespace tako;
@@ -181,36 +180,4 @@ TEST(CacheArray, ForEachValidVisitsAll)
     unsigned count = 0;
     c.forEachValid([&](CacheWay &) { ++count; });
     EXPECT_EQ(count, 5u);
-}
-
-TEST(BackingStore, ReadWriteWordsAndLines)
-{
-    BackingStore st;
-    EXPECT_EQ(st.read64(0x1000), 0u);
-    st.write64(0x1000, 42);
-    EXPECT_EQ(st.read64(0x1000), 42u);
-    EXPECT_EQ(st.fetchAdd64(0x1000, 8), 42u);
-    EXPECT_EQ(st.read64(0x1000), 50u);
-    EXPECT_EQ(st.swap64(0x1000, 7), 50u);
-    EXPECT_EQ(st.read64(0x1000), 7u);
-
-    LineData line;
-    for (unsigned i = 0; i < wordsPerLine; ++i)
-        line[i] = i * 100;
-    st.writeLine(0x2000, line);
-    EXPECT_EQ(st.read64(0x2000 + 3 * 8), 300u);
-    LineData rd = st.readLine(0x2000);
-    EXPECT_EQ(rd, line);
-    st.zeroLine(0x2000);
-    EXPECT_EQ(st.readLine(0x2000), LineData{});
-}
-
-TEST(BackingStore, SparseAllocation)
-{
-    BackingStore st;
-    st.write64(0, 1);
-    st.write64(1ull << 40, 2);
-    EXPECT_EQ(st.allocatedPages(), 2u);
-    EXPECT_EQ(st.read64(1ull << 30), 0u); // untouched page reads zero
-    EXPECT_EQ(st.allocatedPages(), 2u);   // reads don't allocate
 }

@@ -1,12 +1,20 @@
 /**
  * @file
  * Unit tests for the mesh NoC model: hop counts, zero-load latency,
- * serialization, link contention, and energy accounting.
+ * serialization, link contention, and energy accounting, for both the
+ * send-time traverse() and the event-driven walk() awaiter.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "noc/mesh.hh"
+#include "sim/domains.hh"
+#include "sim/exec_ctx.hh"
+#include "sim/shard.hh"
+#include "sim/task.hh"
 
 using namespace tako;
 
@@ -125,4 +133,178 @@ TEST(Mesh, RectangularTopology)
     Mesh mesh(p, stats, energy);
     EXPECT_EQ(mesh.numTiles(), 8u);
     EXPECT_EQ(mesh.hops(0, 7), 4u); // 3 east + 1 south
+}
+
+// ------------------------------------------------------------ Mesh::walk
+
+namespace
+{
+
+/** What one walk observed, recorded by the awaiting coroutine. */
+struct WalkResult
+{
+    Tick sent = 0;
+    Tick arrived = 0;
+    Tick latency = 0;
+    std::uint32_t stream = 0;
+    const EventQueue *queue = nullptr;
+};
+
+Task<>
+walkProbe(Mesh &mesh, Domains &dom, int src, int dst, unsigned bytes,
+          WalkResult &r)
+{
+    r.sent = ctxQueue()->now();
+    co_await mesh.walk(dom, src, dst, bytes, &r.latency);
+    r.arrived = ctxQueue()->now();
+    r.stream = ctxStream();
+    r.queue = ctxQueue();
+}
+
+/**
+ * A 4x4 mesh decomposed over @p shards column-band domains, run by the
+ * sharded executor exactly as System runs the full model.
+ */
+struct WalkRig
+{
+    explicit WalkRig(unsigned shards)
+        : plan(ShardPlan::build(4, 4, MeshParams{}.routerDelay,
+                                MeshParams{}.linkDelay, shards))
+    {
+        std::vector<EventQueue *> raw;
+        for (unsigned d = 0; d < plan.shards; ++d) {
+            queues.push_back(std::make_unique<EventQueue>());
+            raw.push_back(queues.back().get());
+        }
+        dom.init(plan, raw);
+        // Lanes before any handle is cached, as System does.
+        stats.enableLanes(plan.shards);
+        energy = std::make_unique<EnergyModel>(stats);
+        mesh = std::make_unique<Mesh>(MeshParams{}, stats, *energy);
+    }
+
+    /** Start a walk from @p src at absolute tick @p when. */
+    void
+    send(Tick when, int src, int dst, unsigned bytes, WalkResult &r)
+    {
+        dom.postAbs(src, when, [this, src, dst, bytes, &r] {
+            spawn(walkProbe(*mesh, dom, src, dst, bytes, r));
+        });
+    }
+
+    void
+    run()
+    {
+        ShardedExecutor exec(dom.queues(), plan.quantum);
+        dom.setExecutor(&exec);
+        exec.run();
+        dom.setExecutor(nullptr);
+        stats.mergeLanes();
+    }
+
+    ShardPlan plan;
+    std::vector<std::unique_ptr<EventQueue>> queues;
+    Domains dom;
+    StatsRegistry stats;
+    std::unique_ptr<EnergyModel> energy;
+    std::unique_ptr<Mesh> mesh;
+};
+
+/**
+ * Every (src, dst) pair at 8 and 72 bytes, each message alone on the
+ * mesh: the walk's latency equals traverse()'s zero-load latency, the
+ * clock agrees, and the caller resumes on the destination's stream.
+ */
+void
+expectIdleWalksMatchTraverse(unsigned shards)
+{
+    WalkRig rig(shards);
+    StatsRegistry refStats;
+    EnergyModel refEnergy(refStats);
+    Mesh ref(MeshParams{}, refStats, refEnergy);
+
+    struct Probe
+    {
+        int src, dst;
+        unsigned bytes;
+        WalkResult r;
+    };
+    std::vector<Probe> probes;
+    for (const unsigned bytes : {8u, 72u})
+        for (int src = 0; src < 16; ++src)
+            for (int dst = 0; dst < 16; ++dst)
+                probes.push_back({src, dst, bytes, {}});
+    // 1000 ticks apart: every link is free again before the next send.
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        Probe &p = probes[i];
+        rig.send(Tick(1000) * (i + 1), p.src, p.dst, p.bytes, p.r);
+    }
+    rig.run();
+
+    for (const Probe &p : probes) {
+        SCOPED_TRACE(::testing::Message() << "shards=" << shards << " "
+                                          << p.src << "->" << p.dst
+                                          << " " << p.bytes << "B");
+        const Tick expect = ref.traverse(0, p.src, p.dst, p.bytes);
+        ref.reset();
+        EXPECT_EQ(p.r.latency, expect);
+        EXPECT_EQ(p.r.arrived - p.r.sent, expect);
+        EXPECT_EQ(p.r.stream, Domains::streamOf(p.dst));
+        EXPECT_EQ(p.r.queue, &rig.dom.queueOf(p.dst));
+    }
+    EXPECT_EQ(rig.stats.get("noc.messages"), double(probes.size()));
+    EXPECT_EQ(rig.stats.get("noc.localMessages"), 2.0 * 16);
+    EXPECT_EQ(rig.stats.get("noc.flitHops"),
+              refStats.get("noc.flitHops"));
+}
+
+} // namespace
+
+TEST(MeshWalk, MatchesTraverseOnIdleMesh)
+{
+    expectIdleWalksMatchTraverse(1);
+}
+
+TEST(MeshWalk, LatenciesHoldAtTwoShards)
+{
+    expectIdleWalksMatchTraverse(2);
+}
+
+TEST(MeshWalk, LocalDeliveryCostsOneRouter)
+{
+    WalkRig rig(1);
+    WalkResult r;
+    rig.send(50, 5, 5, 72, r);
+    rig.run();
+    EXPECT_EQ(r.latency, MeshParams{}.routerDelay);
+    EXPECT_EQ(r.arrived, 50 + MeshParams{}.routerDelay);
+    EXPECT_EQ(r.stream, Domains::streamOf(5));
+    EXPECT_EQ(rig.stats.get("noc.messages"), 1.0);
+    EXPECT_EQ(rig.stats.get("noc.localMessages"), 1.0);
+    EXPECT_EQ(rig.mesh->flitHops(), 0u);
+}
+
+TEST(MeshWalk, ContendedLinkServesInArrivalOrder)
+{
+    WalkRig rig(1);
+    // Same link, same tick: the first sent holds the link for its five
+    // flits, the second waits them out.
+    WalkResult first, second;
+    rig.send(10, 0, 1, 72, first);
+    rig.send(10, 0, 1, 72, second);
+    // Link 1->2: the 0->2 message is sent earlier but its head reaches
+    // router 1 at tick 103, after the 1->2 message took the link at
+    // tick 102; arrival order, not send order, decides.
+    WalkResult early, late;
+    rig.send(100, 0, 2, 72, early);
+    rig.send(102, 1, 2, 72, late);
+    rig.run();
+
+    const Tick oneHop = 1 * (2 + 1) + 2 + 4; // 5 flits
+    const Tick twoHops = 2 * (2 + 1) + 2 + 4;
+    EXPECT_EQ(first.latency, oneHop);
+    EXPECT_EQ(second.latency, oneHop + 5);
+    EXPECT_EQ(late.latency, oneHop);
+    // Waits from 103 until 102 + 5 flits = 107.
+    EXPECT_EQ(early.latency, twoHops + 4);
 }

@@ -97,7 +97,6 @@ MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
 void
 MemorySystem::setPhase(const std::string &phase)
 {
-    phase_ = phase;
     if (!detail::execCtx.queue) {
         // Pre-run (constructor, test setup): no events are in flight, so
         // the replicas can change in place.
@@ -648,8 +647,6 @@ MemorySystem::dramFetch(int bank_tile, Addr line, LatBreakdown *bd)
         pl.reads = stats_.handle("dram.reads." + pl.phase);
     ++*pl.reads;
     energy_.dramAccess();
-    if (dramTracer_)
-        dramTracer_(line, false);
     co_await Delay{eq_, lat};
     if (bd)
         bd->dram += lat;
@@ -678,8 +675,6 @@ MemorySystem::dramWritebackTask(int bank_tile, Addr line)
         pl.writes = stats_.handle("dram.writes." + pl.phase);
     ++*pl.writes;
     energy_.dramAccess();
-    if (dramTracer_)
-        dramTracer_(line, true);
     co_await Delay{eq_, lat};
 }
 

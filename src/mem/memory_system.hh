@@ -235,13 +235,6 @@ class MemorySystem
     /** Label DRAM accesses by workload phase (Figs. 14/17). */
     void setPhase(const std::string &phase);
 
-    /** Optional tracer invoked on every DRAM access (addr, is_write). */
-    void
-    setDramTracer(std::function<void(Addr, bool)> tracer)
-    {
-        dramTracer_ = std::move(tracer);
-    }
-
     /**
      * Optional tracer invoked at the issue of every demand access from
      * a core (prefetches, engine traffic, and täkō callbacks excluded).
@@ -252,8 +245,6 @@ class MemorySystem
     {
         accessTracer_ = std::move(tracer);
     }
-    const std::string &phase() const { return phase_; }
-
     std::uint64_t dramReads() const;
     std::uint64_t dramWrites() const;
 
@@ -582,8 +573,6 @@ class MemorySystem
      *  retirements serialize on one stream regardless of partition. */
     std::map<std::uint32_t, Outstanding> outstanding_;
 
-    std::string phase_ = "default";
-
     struct alignas(64) DomainCell
     {
         std::uint64_t value = 0;
@@ -608,7 +597,6 @@ class MemorySystem
 
     std::vector<PhaseLane> phaseLanes_;
 
-    std::function<void(Addr, bool)> dramTracer_;
     std::function<void(Tick, const AccessReq &)> accessTracer_;
 
     // Stats, as stable StatsRegistry handles cached at construction so

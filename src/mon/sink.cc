@@ -47,16 +47,19 @@ printProgressBeat(const ProgressBeat &b)
                  tail);
 }
 
-TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
-                               Options opt)
-    : eq_(eq), stats_(stats), opt_(std::move(opt))
+TimeSeriesSink::TimeSeriesSink(std::vector<EventQueue *> queues,
+                               StatsRegistry &stats, Options opt)
+    : queues_(std::move(queues)), stats_(stats), opt_(std::move(opt)),
+      capture_(queues_.size())
 {
+    panic_if(queues_.empty(), "takomon sink with no domain queue");
     panic_if(opt_.sampleEvery == 0 && opt_.progressEvery == 0,
              "takomon sink with no cadence (sampleEvery and "
              "progressEvery both zero)");
     fatal_if(!opt_.monPath.empty() && opt_.sampleEvery == 0,
              "a takomon output file needs a sampling interval");
 
+    const Tick now = queues_[0]->now();
     if (opt_.sampleEvery > 0) {
         buildSeries(opt_.patterns);
         StatsTimeSeries &ts = stats_.timeSeries();
@@ -64,7 +67,7 @@ TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
         ts.names.clear();
         for (const SeriesDesc &d : series_)
             ts.names.push_back(d.name);
-        nextSample_ = eq_.now() + opt_.sampleEvery;
+        firstBoundary_ = now + opt_.sampleEvery;
     }
     if (!opt_.monPath.empty()) {
         MonWriter::Options wopt;
@@ -72,78 +75,40 @@ TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
         fatal_if(!writer_.open(opt_.monPath, opt_.sampleEvery, series_,
                                wopt),
                  "%s", writer_.error().c_str());
-        writing_ = true;
     }
     if (opt_.progressEvery > 0) {
-        nextBeat_ = eq_.now() + opt_.progressEvery;
+        nextBeat_ = now + opt_.progressEvery;
         firstBeatHostTime_ = hostNow();
     }
-    eq_.setAdvanceHook([this](Tick to) { return onAdvance(to); },
-                       nextWatermark());
-}
-
-TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
-                               Tick interval,
-                               const std::vector<std::string> &patterns)
-    : TimeSeriesSink(eq, stats, [&] {
-          panic_if(interval == 0, "sampler interval must be nonzero");
-          Options o;
-          o.sampleEvery = interval;
-          o.patterns = patterns;
-          return o;
-      }())
-{
-}
-
-TimeSeriesSink::~TimeSeriesSink()
-{
-    for (EventQueue *q : shardQueues_)
-        q->clearAdvanceHook();
-    eq_.clearAdvanceHook();
-    if (writing_ && !finish())
-        warn("%s", writer_.error().c_str());
-}
-
-void
-TimeSeriesSink::shardAcross(const std::vector<EventQueue *> &queues)
-{
-    panic_if(queues.empty() || queues[0] != &eq_,
-             "shardAcross: queues[0] must be the construction queue");
-    panic_if(samplesTaken_ != 0 || !shardQueues_.empty(),
-             "shardAcross called twice or after sampling started");
-    shardQueues_ = queues;
-    capture_.resize(queues.size());
-    if (opt_.sampleEvery > 0)
-        firstBoundary_ = eq_.now() + opt_.sampleEvery;
-    for (unsigned d = 0; d < queues.size(); ++d) {
-        DomainCapture &dc = capture_[d];
-        dc.next = opt_.sampleEvery > 0
-                      ? queues[d]->now() + opt_.sampleEvery
-                      : 0;
-        Tick wm = dc.next > 0 ? dc.next : ~Tick{0};
-        if (d == 0 && nextBeat_ > 0 && nextBeat_ < wm)
-            wm = nextBeat_;
-        if (dc.next > 0 || d == 0) {
-            queues[d]->setAdvanceHook(
-                [this, d](Tick to) { return onShardAdvance(d, to); },
-                wm);
+    for (unsigned d = 0; d < queues_.size(); ++d) {
+        // Every domain captures the same boundaries, so row r of each
+        // capture is the partial at firstBoundary_ + r * sampleEvery.
+        capture_[d].next = firstBoundary_;
+        // Watermark 0: the first event (or runUntil) fires the hook,
+        // which returns this domain's real next boundary.
+        if (capture_[d].next > 0 || d == 0) {
+            queues_[d]->setAdvanceHook(
+                [this, d](Tick to) { return onDomainAdvance(d, to); }, 0);
         }
     }
 }
 
+TimeSeriesSink::~TimeSeriesSink()
+{
+    if (!finished_ && !finish())
+        warn("%s", error().c_str());
+}
+
 Tick
-TimeSeriesSink::onShardAdvance(unsigned d, Tick to)
+TimeSeriesSink::onDomainAdvance(unsigned d, Tick to)
 {
     // Replay every boundary this domain's clock is crossing. The hook
     // fires before any event at tick >= the boundary runs here, so the
     // captured lane partial covers exactly this domain's events strictly
-    // before the boundary — the same cut a monolithic sample makes.
+    // before the boundary — the same cut at every partition.
     DomainCapture &dc = capture_[d];
     while (dc.next > 0 && dc.next <= to) {
-        std::vector<double> row(sources_.size());
-        for (std::size_t i = 0; i < sources_.size(); ++i)
-            row[i] = readLane(sources_[i], d);
-        dc.rows.push_back(std::move(row));
+        dc.rows.push_back(captureRow(d));
         dc.next += opt_.sampleEvery;
     }
     if (d == 0) {
@@ -158,53 +123,67 @@ TimeSeriesSink::onShardAdvance(unsigned d, Tick to)
     return wm;
 }
 
-void
-TimeSeriesSink::mergeShardSamples()
+std::vector<double>
+TimeSeriesSink::captureRow(unsigned d) const
 {
-    if (shardQueues_.empty())
-        return;
-    for (EventQueue *q : shardQueues_)
-        q->clearAdvanceHook();
-    if (opt_.sampleEvery == 0)
-        return;
+    std::vector<double> row(sources_.size());
+    for (std::size_t i = 0; i < sources_.size(); ++i)
+        row[i] = readLane(sources_[i], d);
+    return row;
+}
+
+std::vector<double>
+TimeSeriesSink::takeRow(unsigned d, std::size_t r)
+{
+    // A domain that drained before boundary r stopped firing its hook;
+    // every one of its events completed, so its partial for the tail is
+    // its final live lane.
+    std::vector<std::vector<double>> &rows = capture_[d].rows;
+    return r < rows.size() ? std::move(rows[r]) : captureRow(d);
+}
+
+void
+TimeSeriesSink::mergeRows()
+{
     // The domain owning the globally-last event replayed every boundary
-    // up to it, so the longest capture has exactly the monolithic row
-    // count. Domains that drained earlier stopped firing; their partials
-    // for the missing tail are their final live lanes (all their events
-    // completed), read here before StatsRegistry::mergeLanes() folds
-    // them away.
+    // up to it, so the longest capture has exactly the run's row count.
     std::size_t rows = 0;
     for (const DomainCapture &dc : capture_)
         rows = std::max(rows, dc.rows.size());
     StatsTimeSeries &ts = stats_.timeSeries();
     for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t i = 0; i < sources_.size(); ++i) {
-            const bool isMax = sources_[i].kind == SeriesKind::HistMax;
-            double v = 0;
-            for (unsigned d = 0; d < capture_.size(); ++d) {
-                const double pv = r < capture_[d].rows.size()
-                                      ? capture_[d].rows[r][i]
-                                      : readLane(sources_[i], d);
-                v = isMax ? std::max(v, pv) : v + pv;
+        std::vector<double> row = takeRow(0, r);
+        for (unsigned d = 1; d < capture_.size(); ++d) {
+            const std::vector<double> part = takeRow(d, r);
+            for (std::size_t i = 0; i < row.size(); ++i) {
+                row[i] = sources_[i].kind == SeriesKind::HistMax
+                             ? std::max(row[i], part[i])
+                             : row[i] + part[i];
             }
-            row_[i] = v;
         }
         const Tick at =
             firstBoundary_ + static_cast<Tick>(r) * opt_.sampleEvery;
+        if (!opt_.monPath.empty())
+            writer_.addSample(at, row);
         ts.ticks.push_back(at);
-        ts.samples.push_back(row_);
-        if (writing_)
-            writer_.addSample(at, row_);
+        ts.samples.push_back(std::move(row));
         ++samplesTaken_;
     }
+    for (DomainCapture &dc : capture_)
+        dc.rows = {};
 }
 
 bool
 TimeSeriesSink::finish()
 {
-    if (!writing_)
+    if (finished_)
         return error().empty();
-    writing_ = false;
+    finished_ = true;
+    for (EventQueue *q : queues_)
+        q->clearAdvanceHook();
+    mergeRows();
+    if (opt_.monPath.empty())
+        return error().empty();
     return writer_.close();
 }
 
@@ -252,7 +231,6 @@ TimeSeriesSink::buildSeries(const std::vector<std::string> &patterns)
                 addHistogram(n);
         }
     }
-    row_.resize(series_.size());
 }
 
 double
@@ -271,75 +249,12 @@ TimeSeriesSink::readLane(const Source &s, unsigned d) const
     return 0;
 }
 
-double
-TimeSeriesSink::readSource(const Source &s) const
-{
-    switch (s.kind) {
-      case SeriesKind::Counter:
-        return s.counter->value();
-      case SeriesKind::HistCount:
-        return static_cast<double>(s.hist->count());
-      case SeriesKind::HistSum:
-        return s.hist->sum();
-      case SeriesKind::HistMax:
-        return static_cast<double>(s.hist->max());
-    }
-    return 0;
-}
-
-Tick
-TimeSeriesSink::nextWatermark() const
-{
-    Tick wm = ~Tick{0};
-    if (nextSample_ > 0 && nextSample_ < wm)
-        wm = nextSample_;
-    if (nextBeat_ > 0 && nextBeat_ < wm)
-        wm = nextBeat_;
-    return wm;
-}
-
-Tick
-TimeSeriesSink::onAdvance(Tick to)
-{
-    // Replay every boundary up to (and including) the tick being
-    // advanced to, in tick order; a sample and a beat landing on the
-    // same tick emit the sample first (only host-side output ordering
-    // is at stake — the series never sees beats).
-    while (true) {
-        const bool sampleDue = nextSample_ > 0 && nextSample_ <= to;
-        const bool beatDue = nextBeat_ > 0 && nextBeat_ <= to;
-        if (!sampleDue && !beatDue)
-            break;
-        if (sampleDue && (!beatDue || nextSample_ <= nextBeat_)) {
-            takeSample(nextSample_);
-            nextSample_ += opt_.sampleEvery;
-        } else {
-            emitBeat(nextBeat_);
-            nextBeat_ += opt_.progressEvery;
-        }
-    }
-    return nextWatermark();
-}
-
-void
-TimeSeriesSink::takeSample(Tick at)
-{
-    for (std::size_t i = 0; i < sources_.size(); ++i)
-        row_[i] = readSource(sources_[i]);
-    StatsTimeSeries &ts = stats_.timeSeries();
-    ts.ticks.push_back(at);
-    ts.samples.push_back(row_);
-    if (writing_)
-        writer_.addSample(at, row_);
-    ++samplesTaken_;
-}
-
 void
 TimeSeriesSink::emitBeat(Tick at)
 {
     ProgressBeat b;
     b.tick = at;
-    b.events = eq_.eventsFired();
+    b.events = queues_[0]->eventsFired();
     b.hostSeconds = hostNow() - firstBeatHostTime_;
     b.eventsPerSec = b.hostSeconds > 0
                          ? static_cast<double>(b.events) / b.hostSeconds

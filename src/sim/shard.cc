@@ -38,8 +38,12 @@ ShardedExecutor::ShardedExecutor(std::vector<EventQueue *> domains,
 {
     panic_if(domains_.empty(),
              "sharded executor needs at least one domain");
-    for (const EventQueue *q : domains_)
+    for (const EventQueue *q : domains_) {
         panic_if(q == nullptr, "sharded executor given a null domain");
+        panic_if(!q->keyed(),
+                 "sharded executor given an unkeyed domain: install a "
+                 "StreamKeySource (EventQueue::setStreamKeys) first");
+    }
     const unsigned n = static_cast<unsigned>(domains_.size());
     threads_ = threads == 0 ? n : std::clamp(threads, 1u, n);
     mail_.reserve(std::size_t{n} * n);
@@ -67,18 +71,6 @@ ShardedExecutor::barrierWaitSeconds() const
 }
 
 void
-ShardedExecutor::send(unsigned src, unsigned dst, Tick when,
-                      EventPriority prio, std::function<void()> fn)
-{
-    // Legacy keying: pack (source shard, send order) in the key layout,
-    // which sorts exactly like the historical (src, srcSeq) drain order.
-    const std::uint64_t key =
-        (std::uint64_t{src} << StreamKeySource::kSeqBits) |
-        sendSeq_[src].value;
-    sendKeyed(src, dst, when, prio, key, 0, std::move(fn));
-}
-
-void
 ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
                            EventPriority prio, std::uint64_t key,
                            std::uint32_t execStream,
@@ -88,11 +80,8 @@ ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
     panic_if(src >= n || dst >= n, "shard send %u -> %u outside 0..%u",
              src, dst, n - 1);
     if (src == dst) {
-        EventQueue &q = *domains_[src];
-        if (q.keyed())
-            q.scheduleKeyed(when, std::move(fn), prio, key, execStream);
-        else
-            q.scheduleAbs(when, std::move(fn), prio);
+        domains_[src]->scheduleKeyed(when, std::move(fn), prio, key,
+                                     execStream);
         return;
     }
     ++sendSeq_[src].value;
@@ -139,11 +128,9 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
     }
     if (batch.empty())
         return;
-    // Insert in the global merge order (tick, priority, key). Keyed
-    // queues store the carried key directly, so same-tick arrivals land
-    // in the partition-invariant total order; legacy queues assign their
-    // tie-break seqs in insertion order, and the legacy key packs
-    // (src, srcSeq), reproducing the historical drain order.
+    // Insert in the global merge order (tick, priority, key). The queue
+    // stores the carried key directly, so same-tick arrivals land in the
+    // partition-invariant total order.
     std::stable_sort(batch.begin(), batch.end(),
                      [](const ShardEvent &a, const ShardEvent &b) {
                          if (a.when != b.when)
@@ -153,14 +140,9 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
                          return a.key < b.key;
                      });
     EventQueue &q = *domains_[shard];
-    const bool keyed = q.keyed();
-    for (ShardEvent &in : batch) {
-        if (keyed)
-            q.scheduleKeyed(in.when, std::move(in.fn), in.priority,
-                            in.key, in.execStream);
-        else
-            q.scheduleAbs(in.when, std::move(in.fn), in.priority);
-    }
+    for (ShardEvent &in : batch)
+        q.scheduleKeyed(in.when, std::move(in.fn), in.priority, in.key,
+                        in.execStream);
     prof.received += batch.size();
     delivered_.fetch_add(batch.size(), std::memory_order_relaxed);
 }

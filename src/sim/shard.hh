@@ -13,7 +13,9 @@
  *
  * Cross-shard events travel through per-shard-pair SPSC mailboxes and
  * are drained only at quantum barriers, sorted into the receiving
- * queue by (tick, priority, source shard, source sequence). Because the
+ * queue by (tick, priority, key), where the key is the sender's
+ * partition-invariant (stream, per-stream seq) pack; every domain must
+ * therefore be keyed (EventQueue::setStreamKeys). Because the
  * drained set and its insertion order are functions of simulation state
  * alone — never of host-thread timing — a sharded run reproduces the
  * monolithic (tick, priority, seq) total order bit for bit (proof
@@ -136,12 +138,8 @@ struct ShardEvent
 {
     Tick when = 0;
     EventPriority priority = EventPriority::Default;
-    /**
-     * Tie-break key. Keyed sends carry the sender's partition-invariant
-     * (stream, per-stream seq) pack; legacy sends pack (source shard,
-     * send order) in the same layout, which reproduces the historical
-     * (src, srcSeq) drain order.
-     */
+    /** Tie-break key: the sender's partition-invariant (stream,
+     *  per-stream seq) pack. */
     std::uint64_t key = 0;
     /** Stream published in ExecCtx while the delivered event runs. */
     std::uint32_t execStream = 0;
@@ -169,21 +167,15 @@ class ShardedExecutor
                     unsigned threads = 0);
 
     /**
-     * Post @p fn to shard @p dst at absolute tick @p when. Must be
-     * called from an event executing on shard @p src, and @p when must
-     * be at least the sending event's time plus the quantum — the
-     * receiver panics on anything earlier (lookahead violation).
-     * src == dst degenerates to a plain scheduleAbs.
-     */
-    void send(unsigned src, unsigned dst, Tick when, EventPriority prio,
-              std::function<void()> fn);
-
-    /**
-     * Like send(), but with an explicit partition-invariant tie-break
-     * key and execution stream (see StreamKeySource). Used by the
-     * domain router for decomposed single-run simulation: the key was
-     * drawn from the sending event's stream counter, so the receiver
-     * can merge arrivals into the exact monolithic total order.
+     * Post @p fn to shard @p dst at absolute tick @p when, with the
+     * partition-invariant tie-break @p key and execution stream
+     * @p execStream (see StreamKeySource). Must be called from an event
+     * executing on shard @p src; the key was drawn from that event's
+     * stream counter, so the receiver can merge arrivals into the exact
+     * monolithic total order. @p when must be at least the sending
+     * event's time plus the quantum — the receiver panics on anything
+     * earlier (lookahead violation). src == dst degenerates to a plain
+     * scheduleKeyed.
      */
     void sendKeyed(unsigned src, unsigned dst, Tick when,
                    EventPriority prio, std::uint64_t key,

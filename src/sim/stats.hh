@@ -294,8 +294,8 @@ struct StatMeta
 
 /**
  * Time series of selected counters, filled by a mon::TimeSeriesSink
- * during the run: samples[i][j] is the value of names[j] at simulated
- * tick ticks[i].
+ * when the run finishes: samples[i][j] is the value of names[j] at
+ * simulated tick ticks[i].
  */
 struct StatsTimeSeries
 {

@@ -1,6 +1,7 @@
 #include "system/system.hh"
 
 #include <cmath>
+#include <optional>
 
 #include "sim/tracesink.hh"
 
@@ -110,10 +111,8 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
         mo.monPath = config_.monPath;
         mo.progressEvery = config_.progressEvery;
         mo.onBeat = config_.onBeat;
-        monitor_ = std::make_unique<mon::TimeSeriesSink>(eq_, stats_,
-                                                         std::move(mo));
-        if (plan_.shards > 1)
-            monitor_->shardAcross(dom_.queues());
+        monitor_ = std::make_unique<mon::TimeSeriesSink>(
+            dom_.queues(), stats_, std::move(mo));
     } else {
         fatal_if(!config_.monPath.empty(),
                  "a takomon output file needs a sampling interval");
@@ -171,23 +170,28 @@ System::runFor(Tick limit)
     const auto host_start = std::chrono::steady_clock::now();
     bootGuests();
     eq_.runUntil(start + limit);
-    finishMonitor();
-    stampShardStats(nullptr, nullptr);
-    stampHostStats(host_start);
-    finalizeProfiler();
+    finishRun(host_start, nullptr, false);
     return eq_.now() - start;
 }
 
 void
-System::finishMonitor()
+System::finishRun(std::chrono::steady_clock::time_point host_start,
+                  const ShardedExecutor *exec, bool drained)
 {
+    // Order matters: the sink's tail rows read live lane partials, so
+    // the series merges before the stat lanes fold.
     fatal_if(monitor_ && !monitor_->finish(), "%s",
              monitor_->error().c_str());
+    stats_.mergeLanes();
+    stampShardStats(exec);
+    stampHostStats(host_start);
+    if (drained)
+        postRunChecks();
+    finalizeProfiler();
 }
 
 void
-System::stampShardStats(const ShardPlan *plan,
-                        const ShardedExecutor *exec)
+System::stampShardStats(const ShardedExecutor *exec)
 {
     // Deterministic sharded-execution observability. Everything under
     // shard.* is a pure function of simulation state — CI diffs these
@@ -195,7 +199,7 @@ System::stampShardStats(const ShardPlan *plan,
     // the barrier-stall gauge is host-timing-dependent, and it lives
     // under host.* accordingly. Monolithic runs stamp the degenerate
     // single-domain shape so benches always find the same extras.
-    const unsigned n = plan ? plan->shards : 1;
+    const unsigned n = plan_.shards;
     stats_
         .counter("shard.domains", "",
                  "event-queue domains in the sharded run (1 = monolithic)")
@@ -203,11 +207,11 @@ System::stampShardStats(const ShardPlan *plan,
     stats_
         .counter("shard.quantum", "cycles",
                  "conservative lookahead window between quantum barriers")
-        .set(plan ? static_cast<double>(plan->quantum) : 0.0);
+        .set(exec ? static_cast<double>(plan_.quantum) : 0.0);
     stats_
         .counter("shard.boundary_links", "",
                  "directed mesh links crossing a shard cut")
-        .set(plan ? plan->boundaryLinks : 0.0);
+        .set(plan_.boundaryLinks);
     stats_
         .counter("shard.rounds", "",
                  "quantum rounds completed by the sharded executor")
@@ -334,53 +338,30 @@ System::finalizeProfiler()
 Tick
 System::run()
 {
-    if (plan_.shards > 1)
-        return runSharded();
-    const Tick start = eq_.now();
-    const auto host_start = std::chrono::steady_clock::now();
-    bootGuests();
-    eq_.run();
-    finishMonitor();
-    stampShardStats(nullptr, nullptr);
-    stampHostStats(host_start);
-    postRunChecks();
-    finalizeProfiler();
-    return eq_.now() - start;
-}
-
-Tick
-System::runSharded()
-{
-    fatal_if(trace::spanSink() != nullptr,
+    fatal_if(plan_.shards > 1 && trace::spanSink() != nullptr,
              "span tracing writes one shared trace file; record spans "
              "with --shards=1");
     const Tick start = eq_.now();
     const auto host_start = std::chrono::steady_clock::now();
-
     bootGuests();
 
-    // Each domain drains its own queue under quantum barriers; the
-    // Domains router carries every cross-domain edge through the
-    // executor's keyed mailboxes while it is installed.
-    ShardedExecutor exec(dom_.queues(), plan_.quantum);
-    dom_.setExecutor(&exec);
-    exec.run();
-    dom_.setExecutor(nullptr);
-
-    // Merge order matters: the monitor's tail rows read live lane
-    // partials, so fold the stat lanes only after the series merge.
-    if (monitor_)
-        monitor_->mergeShardSamples();
-    stats_.mergeLanes();
-
-    finishMonitor();
-    stampShardStats(&plan_, &exec);
-    stampHostStats(host_start);
-    postRunChecks();
-    finalizeProfiler();
+    // One domain drains its queue directly. Several drain their own
+    // queues under quantum barriers, and the Domains router carries
+    // every cross-domain edge through the executor's keyed mailboxes
+    // while it is installed.
+    std::optional<ShardedExecutor> exec;
+    if (plan_.shards == 1) {
+        eq_.run();
+    } else {
+        exec.emplace(dom_.queues(), plan_.quantum);
+        dom_.setExecutor(&*exec);
+        exec->run();
+        dom_.setExecutor(nullptr);
+    }
+    finishRun(host_start, exec ? &*exec : nullptr, true);
 
     // The run ends at the globally-last event, wherever it executed —
-    // the same tick a monolithic run's clock stops at.
+    // the same tick at every shard count.
     Tick end = start;
     for (const EventQueue *q : dom_.queues())
         end = std::max(end, q->now());

@@ -107,8 +107,13 @@ class System
     void addThread(int core, std::function<Task<>(Guest &)> fn);
 
     /**
-     * Run to completion (event queue drains). Panics with diagnostics if
-     * guests are still blocked when no events remain (deadlock).
+     * Run to completion (every domain queue drains). The domain count
+     * picks the drain: one domain runs eq() directly; several run on a
+     * ShardedExecutor, each domain owning its tiles' model state and
+     * draining its own queue under quantum barriers, so every
+     * non-host.* stat is bit-identical to the monolithic run
+     * (DESIGN.md §4.6). Panics with diagnostics if guests are still
+     * blocked when no events remain (deadlock).
      * @return simulated cycles elapsed.
      */
     Tick run();
@@ -132,21 +137,12 @@ class System
     mon::TimeSeriesSink *monitor() { return monitor_.get(); }
 
   private:
-    /** run() body for config.shards > 1: every shard domain owns its
-     *  tiles' model state (cores, engines, caches, directory slices,
-     *  routers) and drains its own EventQueue on a ShardedExecutor
-     *  worker under quantum barriers; cross-domain edges travel through
-     *  Domains::post keyed mailboxes, so the merged order — and every
-     *  non-host.* stat — is bit-identical to the monolithic run
-     *  (DESIGN.md §4.6). */
-    Tick runSharded();
-
     /** Stage the queued guest threads as per-tile bootstrap events (the
      *  same keyed posts at every shard count, so coroutine frames are
      *  created, driven, and destroyed in the owning domain). */
     void bootGuests();
 
-    /** Post-run deadlock/leak checks shared by run() and runSharded(). */
+    /** Post-run deadlock/leak checks after a full drain. */
     void postRunChecks() const;
 
     /** Harvest NoC/set-heat counters into the profiler and finalize it. */
@@ -163,11 +159,16 @@ class System
      * diffs them across host thread counts. @p exec is null for
      * monolithic runs, which stamp the degenerate single-domain shape.
      */
-    void stampShardStats(const ShardPlan *plan,
-                         const ShardedExecutor *exec);
+    void stampShardStats(const ShardedExecutor *exec);
 
-    /** Close the takomon file (if any); write errors are fatal. */
-    void finishMonitor();
+    /**
+     * The one run epilogue of run() and runFor(), in order: close the
+     * takomon sink (merging its per-domain rows; write errors are
+     * fatal), fold the stat lanes, stamp shard.* and host.*, check for
+     * deadlocks and leaks (@p drained runs only), finalize the profiler.
+     */
+    void finishRun(std::chrono::steady_clock::time_point host_start,
+                   const ShardedExecutor *exec, bool drained);
 
     SystemConfig config_;
     EventQueue eq_;

@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include "mon/reader.hh"
 #include "mon/sink.hh"
 #include "mon/writer.hh"
-#include "sim/sampler.hh"
 #include "sim/shard.hh"
 #include "system/system.hh"
 #include "workloads/decompress.hh"
@@ -370,7 +368,7 @@ TEST(TimeSeriesSink, TakomonFileMatchesInMemorySeries)
     TimeSeriesSink::Options opt;
     opt.sampleEvery = 10;
     opt.monPath = f.path();
-    TimeSeriesSink sink(eq, stats, opt);
+    TimeSeriesSink sink({&eq}, stats, opt);
 
     eq.schedule(7, [&] {
         c += 1;
@@ -430,7 +428,7 @@ TEST(TimeSeriesSink, HeartbeatsFireAtDeterministicTicks)
         beatEvents.push_back(b.events);
         EXPECT_LT(b.fractionDone, 0); // unknown unless provided
     };
-    TimeSeriesSink sink(eq, stats, opt);
+    TimeSeriesSink sink({&eq}, stats, opt);
     sink.setFractionDone(nullptr);
 
     for (Tick t = 1; t <= 34; ++t)
@@ -445,18 +443,6 @@ TEST(TimeSeriesSink, HeartbeatsFireAtDeterministicTicks)
     EXPECT_EQ(sink.samplesTaken(), 0u); // no series cadence requested
 }
 
-TEST(TimeSeriesSink, StatsSamplerAliasStillCompiles)
-{
-    // PR-1 compatibility: StatsSampler is this sink (sim/sampler.hh).
-    static_assert(std::is_same_v<StatsSampler, mon::TimeSeriesSink>);
-    EventQueue eq;
-    StatsRegistry stats;
-    stats.counter("c");
-    StatsSampler sampler(eq, stats, 10, {"c*"});
-    eq.runUntil(25);
-    EXPECT_EQ(stats.timeSeries().numSamples(), 2u);
-}
-
 // ---- shard.* profile determinism --------------------------------------
 
 namespace
@@ -467,13 +453,14 @@ namespace
  * self-rescheduling event chain of different lengths (load imbalance by
  * construction), mailing work to the next domain every third hop. All
  * profile fields must be a pure function of this structure, never of
- * the worker thread count.
+ * the worker thread count. Domain d's events run on stream d + 1.
  */
 struct ChainModel
 {
     static constexpr unsigned kDomains = 4;
     static constexpr Tick kQuantum = 3;
 
+    StreamKeySource keys{kDomains + 1};
     std::array<std::unique_ptr<EventQueue>, kDomains> queues;
     std::unique_ptr<ShardedExecutor> exec;
 
@@ -482,6 +469,7 @@ struct ChainModel
         std::vector<EventQueue *> domains;
         for (auto &q : queues) {
             q = std::make_unique<EventQueue>();
+            q->setStreamKeys(&keys);
             domains.push_back(q.get());
         }
         exec = std::make_unique<ShardedExecutor>(domains, kQuantum,
@@ -495,9 +483,10 @@ struct ChainModel
             return;
         if (left % 3 == 0) {
             const unsigned nxt = (d + 1) % kDomains;
-            exec->send(d, nxt, queues[d]->now() + kQuantum,
-                       EventPriority::Default,
-                       [this, nxt, left] { hop(nxt, left - 1); });
+            exec->sendKeyed(d, nxt, queues[d]->now() + kQuantum,
+                            EventPriority::Default, keys.next(d + 1),
+                            nxt + 1,
+                            [this, nxt, left] { hop(nxt, left - 1); });
             return;
         }
         queues[d]->schedule(1 + left % 5,
@@ -540,7 +529,9 @@ runChains(unsigned threads)
     ChainModel m(threads);
     for (unsigned d = 0; d < ChainModel::kDomains; ++d) {
         const unsigned len = 20 + d * 17; // deliberately unbalanced
-        m.queues[d]->schedule(d + 1, [&m, d, len] { m.hop(d, len); });
+        m.queues[d]->scheduleKeyed(
+            d + 1, [&m, d, len] { m.hop(d, len); },
+            EventPriority::Default, m.keys.next(d + 1), d + 1);
     }
     m.exec->run();
 
@@ -662,4 +653,67 @@ TEST(MonSystem, TakomonBytesIdenticalAcrossShardCounts)
     // construction; the checksum ties all three runs to one answer.
     EXPECT_EQ(s2.checksum, s1.checksum);
     EXPECT_EQ(s4.checksum, s1.checksum);
+}
+
+namespace
+{
+
+/** Four cores sweeping private regions, sampled every 200 cycles:
+ *  run() to completion when @p cut is 0, else runFor(@p cut). */
+StatsTimeSeries
+runSampledSweep(Tick cut, const std::string &monPath)
+{
+    SystemConfig cfg = SystemConfig::forCores(4);
+    cfg.sampleInterval = 200;
+    cfg.monPath = monPath;
+    System sys(cfg);
+    for (int c = 0; c < 4; ++c) {
+        sys.addThread(c, [c](Guest &g) -> Task<> {
+            const Addr base = 0x100000 + Addr(c) * 0x10000;
+            for (std::uint64_t rep = 0; rep < 3; ++rep) {
+                for (Addr a = base; a < base + 0x4000; a += lineBytes) {
+                    co_await g.store(a, a + rep);
+                    co_await g.load(a ^ lineBytes);
+                }
+            }
+        });
+    }
+    if (cut == 0)
+        sys.run();
+    else
+        sys.runFor(cut);
+    return sys.stats().timeSeries();
+}
+
+} // namespace
+
+TEST(MonSystem, RunForSeriesIsPrefixOfRun)
+{
+    // runFor shares run()'s epilogue, so a crash cut closes the sink the
+    // same way: its rows are the first rows of the full run's series.
+    ScratchFile f("cut.takomon");
+    const StatsTimeSeries full = runSampledSweep(0, "");
+    const Tick cut = 3000;
+    ASSERT_GT(full.numSamples(), cut / 200) << "run ends before the cut";
+    const StatsTimeSeries part = runSampledSweep(cut, f.path());
+
+    ASSERT_EQ(part.numSamples(), cut / 200);
+    EXPECT_EQ(part.names, full.names);
+    for (std::size_t i = 0; i < part.numSamples(); ++i) {
+        EXPECT_EQ(part.ticks[i], full.ticks[i]);
+        EXPECT_EQ(part.samples[i], full.samples[i]) << "row " << i;
+    }
+
+    MonReader r;
+    ASSERT_TRUE(r.open(f.path())) << r.error();
+    ASSERT_EQ(r.sampleCount(), part.numSamples());
+    Tick t;
+    std::vector<double> vals;
+    for (std::size_t i = 0; i < part.numSamples(); ++i) {
+        ASSERT_TRUE(r.next(t, vals)) << r.error();
+        EXPECT_EQ(t, part.ticks[i]);
+        EXPECT_EQ(vals, part.samples[i]);
+    }
+    EXPECT_FALSE(r.next(t, vals));
+    EXPECT_TRUE(r.error().empty()) << r.error();
 }

@@ -13,7 +13,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "sim/sampler.hh"
+#include "mon/sink.hh"
 #include "sim/tracesink.hh"
 #include "system/system.hh"
 #include "workloads/common.hh"
@@ -311,16 +311,31 @@ TEST(Trace, ParseSpecCoversAllDefinedFlags)
 // Sampler: deterministic snapshot count and values.
 // -------------------------------------------------------------------
 
+namespace
+{
+
+mon::TimeSeriesSink::Options
+sampleEvery(Tick interval, std::vector<std::string> patterns = {})
+{
+    mon::TimeSeriesSink::Options opt;
+    opt.sampleEvery = interval;
+    opt.patterns = std::move(patterns);
+    return opt;
+}
+
+} // namespace
+
 TEST(Sampler, SnapshotsAtIntervalBoundaries)
 {
     EventQueue eq;
     StatsRegistry stats;
     Counter &c = stats.counter("c");
-    StatsSampler sampler(eq, stats, 10);
+    mon::TimeSeriesSink sink({&eq}, stats, sampleEvery(10));
     eq.schedule(7, [&]() { c += 1; });
     eq.schedule(25, [&]() { c += 2; });
     eq.schedule(35, [&]() {});
     eq.run();
+    ASSERT_TRUE(sink.finish()) << sink.error();
 
     const StatsTimeSeries &ts = stats.timeSeries();
     ASSERT_EQ(ts.numSamples(), 3u);
@@ -336,8 +351,9 @@ TEST(Sampler, RunUntilSamplesIdleTime)
     EventQueue eq;
     StatsRegistry stats;
     stats.counter("c");
-    StatsSampler sampler(eq, stats, 10);
+    mon::TimeSeriesSink sink({&eq}, stats, sampleEvery(10));
     eq.runUntil(50);
+    ASSERT_TRUE(sink.finish()) << sink.error();
     EXPECT_EQ(stats.timeSeries().numSamples(), 5u);
 }
 
@@ -348,7 +364,8 @@ TEST(Sampler, PatternSelectsCounters)
     stats.counter("l1.hits");
     stats.counter("l1.misses");
     stats.counter("dram.reads");
-    StatsSampler sampler(eq, stats, 10, {"l1.*"});
+    mon::TimeSeriesSink sink({&eq}, stats, sampleEvery(10, {"l1.*"}));
+    ASSERT_TRUE(sink.finish()) << sink.error();
     ASSERT_EQ(stats.timeSeries().names.size(), 2u);
     EXPECT_EQ(stats.timeSeries().names[0], "l1.hits");
     EXPECT_EQ(stats.timeSeries().names[1], "l1.misses");

@@ -103,12 +103,15 @@ namespace
  * third hop mailing a payload to the next domain one-or-more quanta
  * ahead. Any reordering — across threads, rounds, or merge batches —
  * changes the accumulators, so equality below is bit-level determinism.
+ * Domain d's events run on stream d + 1 of one shared key source, the
+ * way Domains keys a decomposed System run.
  */
 struct RingModel
 {
     static constexpr unsigned kDomains = 4;
     static constexpr Tick kQuantum = 3;
 
+    StreamKeySource keys{kDomains + 1};
     std::array<std::unique_ptr<EventQueue>, kDomains> queues;
     std::unique_ptr<ShardedExecutor> exec;
     std::array<std::uint64_t, kDomains> acc{};
@@ -119,10 +122,21 @@ struct RingModel
         std::vector<EventQueue *> domains;
         for (auto &q : queues) {
             q = std::make_unique<EventQueue>();
+            q->setStreamKeys(&keys);
             domains.push_back(q.get());
         }
         exec = std::make_unique<ShardedExecutor>(domains, kQuantum,
                                                  threads);
+    }
+
+    /** Mail @p fn from the event running on domain @p src to @p dst,
+     *  keyed on the sender's stream and run on the receiver's. */
+    void
+    send(unsigned src, unsigned dst, Tick when, EventPriority prio,
+         std::function<void()> fn)
+    {
+        exec->sendKeyed(src, dst, when, prio, keys.next(src + 1), dst + 1,
+                        std::move(fn));
     }
 
     void
@@ -143,8 +157,8 @@ struct RingModel
             // Conservative: at least one quantum ahead of "now".
             const Tick when =
                 queues[d]->now() + kQuantum + (payload % (2 * kQuantum));
-            exec->send(d, dst, when, EventPriority::Default,
-                       [this, dst, payload] { recv(dst, payload, 2); });
+            send(d, dst, when, EventPriority::Default,
+                 [this, dst, payload] { recv(dst, payload, 2); });
         }
         queues[d]->schedule(1 + (acc[d] % 3),
                             [this, d, remaining] {
@@ -160,9 +174,8 @@ struct RingModel
         if (ttl > 0 && payload % 2 == 0) {
             const unsigned dst = (d + 1) % kDomains;
             const std::uint64_t fwd = acc[d];
-            exec->send(d, dst, queues[d]->now() + kQuantum,
-                       EventPriority::High,
-                       [this, dst, fwd, ttl] { recv(dst, fwd, ttl - 1); });
+            send(d, dst, queues[d]->now() + kQuantum, EventPriority::High,
+                 [this, dst, fwd, ttl] { recv(dst, fwd, ttl - 1); });
         }
     }
 
@@ -170,9 +183,9 @@ struct RingModel
     run(unsigned chainLength)
     {
         for (unsigned d = 0; d < kDomains; ++d) {
-            queues[d]->scheduleAbs(d, [this, d, chainLength] {
-                local(d, chainLength);
-            });
+            queues[d]->scheduleKeyed(
+                d, [this, d, chainLength] { local(d, chainLength); },
+                EventPriority::Default, keys.next(d + 1), d + 1);
         }
         exec->run();
     }
@@ -231,10 +244,12 @@ TEST(ShardedExecutor, SoloDomainMatchesMonolithicRun)
     mono.scheduleAbs(0, [&] { chain(mono, monoAcc, chain, 200); });
     mono.run();
 
+    StreamKeySource keys(1);
     std::array<std::unique_ptr<EventQueue>, 4> queues;
     std::vector<EventQueue *> domains;
     for (auto &q : queues) {
         q = std::make_unique<EventQueue>();
+        q->setStreamKeys(&keys);
         domains.push_back(q.get());
     }
     std::uint64_t shardAcc = 0;
@@ -251,15 +266,25 @@ TEST(ShardedExecutor, SoloDomainMatchesMonolithicRun)
 
 TEST(ShardedExecutor, EmptyDomainsTerminate)
 {
+    StreamKeySource keys(1);
     std::array<std::unique_ptr<EventQueue>, 3> queues;
     std::vector<EventQueue *> domains;
     for (auto &q : queues) {
         q = std::make_unique<EventQueue>();
+        q->setStreamKeys(&keys);
         domains.push_back(q.get());
     }
     ShardedExecutor exec(domains, 5);
     exec.run(); // must not hang
     EXPECT_EQ(exec.crossShardEvents(), 0u);
+}
+
+TEST(ShardedExecutorDeathTest, UnkeyedDomainPanics)
+{
+    // Without a key source a queue would order cross-shard arrivals by
+    // insertion, which depends on the drain batch, not on the model.
+    EventQueue q;
+    EXPECT_DEATH(ShardedExecutor({&q}, 3), "unkeyed domain");
 }
 
 // ------------------------------------------------------------- runLanes

@@ -22,7 +22,7 @@ Guest::eq() const
 Tick
 Guest::now() const
 {
-    return ctxNow(core_.eq());
+    return core_.eq().now();
 }
 
 MemorySystem &
@@ -264,7 +264,7 @@ Core::memOp(MemCmd cmd, Addr addr, std::uint64_t wdata, bool no_fetch,
     instrs_ += 1;
     myInstrs_ += 1;
     energy_.coreInstrs(1);
-    const Tick start = ctxNow(eq_);
+    const Tick start = eq_.now();
     AccessReq req;
     req.cmd = cmd;
     req.addr = addr;
@@ -274,7 +274,7 @@ Core::memOp(MemCmd cmd, Addr addr, std::uint64_t wdata, bool no_fetch,
     req.useOnce = use_once;
     const std::uint64_t v = co_await mem_.access(req);
     if (cmd == MemCmd::Load)
-        loadLatency_.sample(ctxNow(eq_) - start);
+        loadLatency_.sample(eq_.now() - start);
     co_return v;
 }
 

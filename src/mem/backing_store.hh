@@ -45,8 +45,8 @@ struct LineData
  * interior nodes of 1024 atomic slots (8 KB each), indexed by the page
  * number ten bits per level, so the table spans 2^52 bytes.
  *
- * Lookups are lock-free acquire loads, so shard domains committing
- * functional data never contend on the common path. Interior nodes and
+ * Lookups are lock-free acquire loads, so concurrent readers never
+ * contend on the common path. Interior nodes and
  * pages are created under one mutex, double-checked, and published with
  * a release store; they are never freed, so a pointer once loaded
  * cannot dangle. Word accesses go through the page pointer unguarded,

@@ -124,10 +124,9 @@ class LineLockTable
         if (!s.head)
             s.tail = nullptr;
         const std::coroutine_handle<> h = w->handle_;
-        // Resume in the releasing context's domain: lock tables are
-        // tile-affine under decomposition, so the waiter belongs to the
-        // same domain the release executes in.
-        homeQueue(eq_).schedule(0, [h]() { h.resume(); });
+        // Lock tables are tile-affine: the waiter resumes at the tile
+        // the release executes at.
+        eq_.schedule(0, [h]() { h.resume(); });
     }
 
   private:

@@ -3,18 +3,16 @@
 #include <algorithm>
 
 #include "prof/profiler.hh"
-#include "sim/domains.hh"
 #include "sim/trace.hh"
 #include "sim/tracesink.hh"
 
 namespace tako
 {
 
-MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
-                           EventQueue &eq, StatsRegistry &stats,
-                           EnergyModel &energy, Mesh &noc)
+MemorySystem::MemorySystem(const MemParams &params, EventQueue &eq,
+                           StatsRegistry &stats, EnergyModel &energy,
+                           Mesh &noc)
     : params_(params),
-      dom_(dom),
       eq_(eq),
       stats_(stats),
       energy_(energy),
@@ -67,9 +65,6 @@ MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
     panic_if(params_.tiles != noc_.numTiles(),
              "tile count (%u) != mesh size (%u)", params_.tiles,
              noc_.numTiles());
-    panic_if(params_.tiles != dom_.tiles(),
-             "tile count (%u) != domain plan (%u)", params_.tiles,
-             dom_.tiles());
     tiles_.reserve(params_.tiles);
     for (unsigned t = 0; t < params_.tiles; ++t)
         tiles_.push_back(std::make_unique<TileState>(params_, eq_));
@@ -88,7 +83,6 @@ MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
                 : 0;
     }
 
-    inflightLanes_.resize(dom_.domainCount());
     phaseLanes_.resize(params_.memCtrls);
 
     setPhase("default");
@@ -109,11 +103,11 @@ MemorySystem::setPhase(const std::string &phase)
     }
     // Mid-run: the label is only ever consumed at the controllers'
     // tiles, so broadcast one message per controller — each updates its
-    // own controller's replica, making the switch tick exact and
-    // identical at every shard count. Handles re-resolve lazily (the
-    // counter is only registered for phases that actually touch DRAM).
+    // own controller's replica one hop later. Handles re-resolve lazily
+    // (the counter is only registered for phases that actually touch
+    // DRAM).
     for (unsigned c = 0; c < params_.memCtrls; ++c) {
-        dom_.post(ctrlTile(c), dom_.quantum(), [this, c, phase]() {
+        eq_.post(ctrlTile(c), noc_.hopDelay(), [this, c, phase]() {
             PhaseLane &pl = phaseLanes_[c];
             pl.phase = phase;
             pl.reads = nullptr;
@@ -183,10 +177,7 @@ MemorySystem::dramWrites() const
 unsigned
 MemorySystem::inflight() const
 {
-    std::uint64_t n = 0;
-    for (const DomainCell &c : inflightLanes_)
-        n += c.value;
-    return static_cast<unsigned>(n);
+    return inflight_;
 }
 
 // ---------------------------------------------------------------------
@@ -196,7 +187,7 @@ MemorySystem::inflight() const
 Mesh::Walk
 MemorySystem::hop(int src, int dst, unsigned bytes, LatBreakdown *bd)
 {
-    return noc_.walk(dom_, src, dst, bytes, bd ? &bd->noc : nullptr);
+    return noc_.walk(eq_, src, dst, bytes, bd ? &bd->noc : nullptr);
 }
 
 Task<std::uint64_t>
@@ -207,7 +198,7 @@ MemorySystem::access(AccessReq req)
     // reference stream, so a recorded trace replays 1:1.
     if (accessTracer_ && !req.prefetch && !req.fromEngine &&
         req.callbackLevel < 0)
-        accessTracer_(ctxNow(eq_), req);
+        accessTracer_(eq_.now(), req);
 
     const Addr line = lineAlign(req.addr);
     const bool need_m = req.cmd != MemCmd::Load;
@@ -235,8 +226,8 @@ MemorySystem::access(AccessReq req)
                  (unsigned long long)req.addr, req.tile, mb->tile);
     }
 
-    ++inflightLanes_[ctxDomain()].value;
-    const Tick t_start = ctxNow(eq_);
+    ++inflight_;
+    const Tick t_start = eq_.now();
     TileState &t = *tiles_[req.tile];
     CacheArray &l1 = req.fromEngine ? t.engL1 : t.l1;
     // Engine accesses carry trrîp's low-priority tag (Sec. 5.2):
@@ -286,16 +277,16 @@ MemorySystem::access(AccessReq req)
             bd.cache = l1_lat;
             finishAccess(req, t_start, bd);
         }
-        --inflightLanes_[ctxDomain()].value;
+        --inflight_;
         co_return v;
     }
     ++*l1Misses_;
 
     // Serialize same-line transactions within the tile; this also merges
     // concurrent misses to the same line (MSHR-style).
-    Tick t0 = ctxNow(eq_);
+    Tick t0 = eq_.now();
     co_await t.tileLocks.acquire(line);
-    const Tick tile_lock_wait = ctxNow(eq_) - t0;
+    const Tick tile_lock_wait = eq_.now() - t0;
 
     if (!req.prefetch && l1_hit_ok()) {
         // A merged request filled the line while we waited.
@@ -308,7 +299,7 @@ MemorySystem::access(AccessReq req)
             bd.lockWait = tile_lock_wait;
             finishAccess(req, t_start, bd);
         }
-        --inflightLanes_[ctxDomain()].value;
+        --inflight_;
         co_return v;
     }
 
@@ -348,7 +339,7 @@ MemorySystem::access(AccessReq req)
     const bool l2_ok =
         w2 && (!need_m || w2->coh == Coh::E || w2->coh == Coh::M);
 
-    TRACE(Cache, ctxNow(eq_), "tile %d %s %#llx %s L2", req.tile,
+    TRACE(Cache, eq_.now(), "tile %d %s %#llx %s L2", req.tile,
           req.cmd == MemCmd::Load ? "ld" : "st/at",
           (unsigned long long)line, l2_ok ? "hits" : "misses");
     if (l2_ok) {
@@ -365,9 +356,9 @@ MemorySystem::access(AccessReq req)
     } else {
         ++*l2Misses_;
         Semaphore &mshrs = req.fromEngine ? t.engineMshrs : t.coreMshrs;
-        t0 = ctxNow(eq_);
+        t0 = eq_.now();
         co_await mshrs.acquire();
-        bd.lockWait += ctxNow(eq_) - t0;
+        bd.lockWait += eq_.now() - t0;
         if (!w2 && mb && mb->level == MorphLevel::Private && mb->phantom) {
             // Private phantom miss: allocate at L2, zero the line, and
             // let onMiss generate the data (Table 1 semantics).
@@ -378,9 +369,9 @@ MemorySystem::access(AccessReq req)
                 Completion<bool> done(eq_);
                 sink_->triggerMiss(req.tile, line, *mb,
                                    [&done]() { done.complete(true); });
-                t0 = ctxNow(eq_);
+                t0 = eq_.now();
                 co_await done;
-                bd.callbackWait += ctxNow(eq_) - t0;
+                bd.callbackWait += eq_.now() - t0;
             }
         } else {
             co_await fetchIntoL2(req.tile, line, need_m, engine_repl,
@@ -400,7 +391,7 @@ MemorySystem::access(AccessReq req)
     const std::uint64_t v = req.prefetch ? 0 : doFunctional(req);
     if (observing())
         finishAccess(req, t_start, bd);
-    --inflightLanes_[ctxDomain()].value;
+    --inflight_;
     co_return v;
 }
 
@@ -414,7 +405,7 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
         hBdLock_->sample(bd.lockWait);
         hBdDram_->sample(bd.dram);
         hBdCbWait_->sample(bd.callbackWait);
-        hBdTotal_->sample(ctxNow(eq_) - start);
+        hBdTotal_->sample(eq_.now() - start);
     }
     if (trace::spanEnabled(trace::Flag::Mem)) {
         trace::ChromeTraceWriter &w = *trace::spanSink();
@@ -428,7 +419,7 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
         else if (req.cmd != MemCmd::Load)
             name = "atomic";
         w.completeEvent(
-            "mem", name, 0, req.tile, start, ctxNow(eq_) - start,
+            "mem", name, 0, req.tile, start, eq_.now() - start,
             strprintf("{\"addr\":\"%#llx\",\"engine\":%s,"
                       "\"cache\":%llu,\"noc\":%llu,\"lock_wait\":%llu,"
                       "\"dram\":%llu,\"callback_wait\":%llu}",
@@ -465,7 +456,7 @@ MemorySystem::coherenceVisit(int bank, int tile, Addr line, bool downgrade,
         co_await hop(tile, bank, 8);
     }
     // Back at the bank: the flag lives in the bank-side caller's frame,
-    // so every visit's merge executes in the bank's domain.
+    // so every visit's merge executes at the bank's tile.
     *dirty_out |= dirty;
 }
 
@@ -482,12 +473,12 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
              (unsigned long long)line);
 
     co_await hop(tile, bank, 8, &bd);
-    // Bank-side state is bound after the hop (H1): every access below
-    // runs in the bank's domain.
+    // Bank-side state is bound after the hop: every access below runs
+    // at the bank's tile.
     TileState &b = *tiles_[bank];
-    Tick t0 = ctxNow(eq_);
+    Tick t0 = eq_.now();
     co_await b.bankLocks.acquire(line);
-    bd.lockWait += ctxNow(eq_) - t0;
+    bd.lockWait += eq_.now() - t0;
     co_await Delay{eq_, params_.l3TagLat};
     bd.cache += params_.l3TagLat;
     energy_.l3Access();
@@ -509,9 +500,9 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
                 Completion<bool> done(eq_);
                 sink_->triggerMiss(bank, line, *mb,
                                    [&done]() { done.complete(true); });
-                t0 = ctxNow(eq_);
+                t0 = eq_.now();
                 co_await done;
-                bd.callbackWait += ctxNow(eq_) - t0;
+                bd.callbackWait += eq_.now() - t0;
             }
         } else if (shared_morph && mb->hasMiss && sink_) {
             // Real shared morph: onMiss overlaps the memory fetch
@@ -523,9 +514,9 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
             spawn(dramFetch(bank, line), join.completion());
             sink_->triggerMiss(bank, line, *mb,
                                join.completion());
-            t0 = ctxNow(eq_);
+            t0 = eq_.now();
             co_await join.wait();
-            bd.callbackWait += ctxNow(eq_) - t0;
+            bd.callbackWait += eq_.now() - t0;
         } else if (no_fetch && want_m && !mb) {
             // Streaming store: write-combining allocation, no memory
             // read. The line becomes dirty and writes back as usual.
@@ -538,7 +529,7 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
         if (want_m) {
             // Invalidate all other copies — each invalidation is a real
             // visit to the sharer's tile, executing the cache mutation
-            // in the sharer's own domain; the directory waits here (with
+            // at the sharer's own tile; the directory waits here (with
             // the bank lock held) for every acknowledgment.
             std::uint32_t others =
                 w3->sharers & ~(1u << static_cast<unsigned>(tile));
@@ -551,7 +542,7 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
                     if (!(others & (1u << s)))
                         continue;
                     ++*invalidations_;
-                    TRACE(Coherence, ctxNow(eq_),
+                    TRACE(Coherence, eq_.now(),
                           "bank %d invalidates tile %u for %#llx", bank,
                           s, (unsigned long long)line);
                     join.add(1);
@@ -559,9 +550,9 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
                                          false, &vdirty),
                           join.completion());
                 }
-                t0 = ctxNow(eq_);
+                t0 = eq_.now();
                 co_await join.wait();
-                bd.noc += ctxNow(eq_) - t0;
+                bd.noc += eq_.now() - t0;
                 if (vdirty)
                     w3->dirty = true;
             }
@@ -569,9 +560,9 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
             // Downgrade the exclusive owner to Shared (one visit).
             ++*downgrades_;
             bool vdirty = false;
-            t0 = ctxNow(eq_);
+            t0 = eq_.now();
             co_await coherenceVisit(bank, w3->owner, line, true, &vdirty);
-            bd.noc += ctxNow(eq_) - t0;
+            bd.noc += eq_.now() - t0;
             if (vdirty)
                 w3->dirty = true;
             w3->owner = -1;
@@ -602,8 +593,8 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
     }
 
     co_await hop(bank, tile, 72, &bd);
-    // Back in the requesting tile's domain: bind its state here, not
-    // before the hops (H1).
+    // Back at the requesting tile: bind its state here, not before the
+    // hops.
     TileState &t = *tiles_[tile];
 
     if (CacheWay *w2 = t.l2.lookup(line)) {
@@ -616,9 +607,9 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
         co_await insertL2(tile, line, grant, mb, engine, use_once, &bd);
     }
 
-    // Unlock message back to the bank's domain (one quantum, like any
-    // other cross-domain signal — same delta at every shard count).
-    dom_.post(bank, dom_.quantum(), [this, bank, line]() {
+    // Unlock message back to the bank's tile, one hop out like every
+    // other tile-to-tile control message.
+    eq_.post(bank, noc_.hopDelay(), [this, bank, line]() {
         tiles_[bank]->bankLocks.release(line);
     });
 }
@@ -628,15 +619,15 @@ MemorySystem::dramFetch(int bank_tile, Addr line, LatBreakdown *bd)
 {
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 8, bd);
-    const Tick lat = ctrls_[c].access(ctxNow(eq_));
-    TRACE(Dram, ctxNow(eq_), "read %#llx via ctrl %u",
+    const Tick lat = ctrls_[c].access(eq_.now());
+    TRACE(Dram, eq_.now(), "read %#llx via ctrl %u",
           (unsigned long long)line, c);
     if (trace::spanEnabled(trace::Flag::Dram)) {
         trace::ChromeTraceWriter &w = *trace::spanSink();
         w.ensureTrack(2, "dram", static_cast<int>(c),
                       strprintf("ctrl%u", c));
         w.completeEvent("dram", "read", 2, static_cast<int>(c),
-                        ctxNow(eq_), lat,
+                        eq_.now(), lat,
                         strprintf("{\"addr\":\"%#llx\"}",
                                   (unsigned long long)line));
     }
@@ -658,13 +649,13 @@ MemorySystem::dramWritebackTask(int bank_tile, Addr line)
 {
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 72);
-    const Tick lat = ctrls_[c].access(ctxNow(eq_));
+    const Tick lat = ctrls_[c].access(eq_.now());
     if (trace::spanEnabled(trace::Flag::Dram)) {
         trace::ChromeTraceWriter &w = *trace::spanSink();
         w.ensureTrack(2, "dram", static_cast<int>(c),
                       strprintf("ctrl%u", c));
         w.completeEvent("dram", "write", 2, static_cast<int>(c),
-                        ctxNow(eq_), lat,
+                        eq_.now(), lat,
                         strprintf("{\"addr\":\"%#llx\"}",
                                   (unsigned long long)line));
     }
@@ -778,7 +769,7 @@ MemorySystem::snapL3Way(CacheWay &w)
     ev.copies = w.sharers;
     if (w.owner >= 0)
         ev.copies |= 1u << static_cast<unsigned>(w.owner);
-    TRACE(Cache, ctxNow(eq_), "bank evicts %#llx%s%s",
+    TRACE(Cache, eq_.now(), "bank evicts %#llx%s%s",
           (unsigned long long)ev.line, ev.dirty ? " dirty" : "",
           w.morph ? " morph" : "");
     w.invalidate();
@@ -803,8 +794,8 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev)
     const Addr line = ev.line;
     bool dirty = ev.dirty;
 
-    // Inclusive L3: back-invalidate every private copy, each in its
-    // owner's domain, and wait for the acknowledgments.
+    // Inclusive L3: back-invalidate every private copy, each at its
+    // owner's tile, and wait for the acknowledgments.
     if (ev.copies) {
         Join join(eq_);
         bool vdirty = false;
@@ -822,7 +813,7 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev)
 
     // Capture strictly after the back-invalidations: until a remote M
     // owner has acknowledged, it can still be committing stores, and a
-    // capture taken concurrently would not be partition-invariant.
+    // capture taken earlier could miss them.
     const MorphBinding *mb = resolve(bank_tile, line);
     const bool shared_morph = mb && mb->level == MorphLevel::Shared;
 
@@ -876,7 +867,7 @@ MemorySystem::evictL2Way(int tile, CacheWay &w)
     TileState &t = *tiles_[tile];
     ++*l2Evictions_;
     const Addr line = w.lineAddr;
-    TRACE(Cache, ctxNow(eq_), "tile %d evicts %#llx%s%s", tile,
+    TRACE(Cache, eq_.now(), "tile %d evicts %#llx%s%s", tile,
           (unsigned long long)line, w.dirty ? " dirty" : "",
           w.morph ? " morph" : "");
 
@@ -925,10 +916,10 @@ MemorySystem::updateDirectoryOnPrivateEvict(int tile, Addr line,
                                             bool dirty)
 {
     // The directory lives at the line's home bank; the clear travels as
-    // a message and commits in the bank's domain. By the time it lands
+    // a message and commits at the bank's tile. By the time it lands
     // the L3 copy may be gone (concurrent eviction) — tolerate that, as
     // the monolithic model always has.
-    dom_.post(bankOf(line), dom_.quantum(), [this, tile, line, dirty]() {
+    eq_.post(bankOf(line), noc_.hopDelay(), [this, tile, line, dirty]() {
         TileState &b = *tiles_[bankOf(line)];
         CacheWay *w3 = b.l3.lookup(line);
         if (!w3)
@@ -979,7 +970,7 @@ MemorySystem::launchEvictionCallback(int engine_tile, Addr line,
     // this line and then hops to the accounting home (tile 0) draws a
     // later key on the same stream — its arrival can never overtake the
     // increment.
-    dom_.post(0, dom_.quantum(),
+    eq_.post(0, noc_.hopDelay(),
               [this, id = mb.id]() { ++outstanding_[id].count; });
     auto retire = [this, id = mb.id, engine_tile, line, after]() {
         switch (after) {
@@ -998,24 +989,24 @@ MemorySystem::launchEvictionCallback(int engine_tile, Addr line,
         sink_->triggerEviction(engine_tile, line, mb, dirty,
                                std::move(data), std::move(retire));
     } else {
-        dom_.post(engine_tile, 0, std::move(retire));
+        eq_.post(engine_tile, 0, std::move(retire));
     }
 }
 
 void
 MemorySystem::evictionCallbackRetired(std::uint32_t morph_id)
 {
-    // All accounting commits at tile 0's domain, one quantum out — the
+    // All accounting commits at tile 0, one hop out — the
     // same latency the matching increment paid, so a -1 can never land
     // before its +1.
-    dom_.post(0, dom_.quantum(), [this, morph_id]() {
+    eq_.post(0, noc_.hopDelay(), [this, morph_id]() {
         auto it = outstanding_.find(morph_id);
         panic_if(it == outstanding_.end() || it->second.count == 0,
                  "eviction callback retired with no record (morph %u)",
                  morph_id);
         if (--it->second.count == 0) {
             for (auto h : it->second.waiters)
-                dom_.post(0, 0, [h]() { h.resume(); });
+                eq_.post(0, 0, [h]() { h.resume(); });
             it->second.waiters.clear();
         }
     });
@@ -1030,7 +1021,7 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
 {
     const MorphBinding *mb = resolve(tile, addr);
     ++*rmoOps_;
-    TRACE(Rmo, ctxNow(eq_), "tile %d rmoAdd %#llx += %llu", tile,
+    TRACE(Rmo, eq_.now(), "tile %d rmoAdd %#llx += %llu", tile,
           (unsigned long long)addr, (unsigned long long)delta);
     if (!mb || mb->level != MorphLevel::Shared) {
         // No shared Morph: execute as a local atomic through the caches.
@@ -1047,8 +1038,8 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
     const int bank = bankOf(line);
 
     co_await hop(tile, bank, 16);
-    // Bound after the hop (H1): the whole read-modify-write below runs
-    // in the bank's domain.
+    // Bound after the hop: the whole read-modify-write below runs at
+    // the bank's tile.
     TileState &b = *tiles_[bank];
     co_await b.bankLocks.acquire(line);
     co_await Delay{eq_, params_.l3TagLat};
@@ -1085,7 +1076,7 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
     w3->dirty = true;
     b.bankLocks.release(line);
     // Completion ack travels back so the issuing core's store buffer
-    // releases in its own domain.
+    // releases at its own tile.
     co_await hop(bank, tile, 8);
 }
 
@@ -1093,8 +1084,8 @@ Task<>
 MemorySystem::flushMorphData(const MorphBinding &binding)
 {
     // The flush controller walks the hierarchy; remember where the
-    // caller lives so the coroutine finishes back in its domain.
-    const int home = dom_.ctxTile(0);
+    // caller lives so the coroutine finishes back at its tile.
+    const int home = EventQueue::ctxTile(0);
     const Addr base = binding.base;
     const std::uint64_t len = binding.length;
     auto in_range = [base, len](Addr a) {
@@ -1102,7 +1093,7 @@ MemorySystem::flushMorphData(const MorphBinding &binding)
     };
 
     if (binding.level == MorphLevel::Private) {
-        co_await dom_.hopTo(binding.tile, dom_.quantum());
+        co_await eq_.hopTo(binding.tile, noc_.hopDelay());
         TileState &t = *tiles_[binding.tile];
         // Tag-array walk cost (Sec. 4.4): the controller scans its sets.
         co_await Delay{eq_, t.l2.numSets() / 4 + 1};
@@ -1120,7 +1111,7 @@ MemorySystem::flushMorphData(const MorphBinding &binding)
         }
     } else {
         for (unsigned bank = 0; bank < params_.tiles; ++bank) {
-            co_await dom_.hopTo(static_cast<int>(bank), dom_.quantum());
+            co_await eq_.hopTo(static_cast<int>(bank), noc_.hopDelay());
             TileState &b = *tiles_[bank];
             co_await Delay{eq_, b.l3.numSets() / 4 + 1};
             std::vector<Addr> lines;
@@ -1146,7 +1137,7 @@ MemorySystem::flushMorphData(const MorphBinding &binding)
     // is homed at tile 0, so the wait happens there; because this hop
     // draws a later key than every +1 the evictions above posted, the
     // check cannot run before their increments land.
-    co_await dom_.hopTo(0, dom_.quantum());
+    co_await eq_.hopTo(0, noc_.hopDelay());
     struct OutstandingAwaiter
     {
         MemorySystem &ms;
@@ -1168,17 +1159,17 @@ MemorySystem::flushMorphData(const MorphBinding &binding)
         void await_resume() const noexcept {}
     };
     co_await OutstandingAwaiter{*this, binding.id};
-    co_await dom_.hopTo(home, dom_.quantum());
+    co_await eq_.hopTo(home, noc_.hopDelay());
 }
 
 Task<>
 MemorySystem::flushRangePlain(Addr base, std::uint64_t length)
 {
-    const int home = dom_.ctxTile(0);
+    const int home = EventQueue::ctxTile(0);
     auto in_range = [&](Addr a) { return a >= base && a < base + length; };
     // Evict from every L3 bank (back-invalidating private copies) ...
     for (unsigned bank = 0; bank < params_.tiles; ++bank) {
-        co_await dom_.hopTo(static_cast<int>(bank), dom_.quantum());
+        co_await eq_.hopTo(static_cast<int>(bank), noc_.hopDelay());
         TileState &b = *tiles_[bank];
         std::vector<Addr> lines;
         b.l3.forEachValid([&](CacheWay &w) {
@@ -1195,7 +1186,7 @@ MemorySystem::flushRangePlain(Addr base, std::uint64_t length)
     }
     // ... and any private-only (phantom) lines.
     for (unsigned tile = 0; tile < params_.tiles; ++tile) {
-        co_await dom_.hopTo(static_cast<int>(tile), dom_.quantum());
+        co_await eq_.hopTo(static_cast<int>(tile), noc_.hopDelay());
         TileState &t = *tiles_[tile];
         std::vector<Addr> lines;
         t.l2.forEachValid([&](CacheWay &w) {
@@ -1209,7 +1200,7 @@ MemorySystem::flushRangePlain(Addr base, std::uint64_t length)
             t.tileLocks.release(line);
         }
     }
-    co_await dom_.hopTo(home, dom_.quantum());
+    co_await eq_.hopTo(home, noc_.hopDelay());
 }
 
 // ---------------------------------------------------------------------

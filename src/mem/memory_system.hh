@@ -48,8 +48,6 @@
 namespace tako
 {
 
-class Domains;
-
 namespace prof
 {
 class Profiler;
@@ -161,12 +159,11 @@ class MemorySystem
 {
   public:
     /**
-     * @p dom routes every inter-tile movement (NoC walks, directory
-     * messages, DRAM pinning) so the hierarchy can be partitioned across
-     * shard domains; a monolithic run passes a single-domain Domains and
-     * executes the identical code on one queue.
+     * @p eq must be keyed (EventQueue::enableStreamKeys): every
+     * inter-tile movement (NoC walks, directory messages, DRAM pinning)
+     * is a tile post on it.
      */
-    MemorySystem(const MemParams &params, Domains &dom, EventQueue &eq,
+    MemorySystem(const MemParams &params, EventQueue &eq,
                  StatsRegistry &stats, EnergyModel &energy, Mesh &noc);
 
     MemorySystem(const MemorySystem &) = delete;
@@ -195,6 +192,9 @@ class MemorySystem
     std::vector<std::uint64_t> aggregateSetHeat(int level) const;
 
     const MemParams &params() const { return params_; }
+
+    /** Delay of one tile-to-tile control message (Mesh::hopDelay). */
+    Tick hopDelay() const { return noc_.hopDelay(); }
 
     BackingStore &realStore() { return realStore_; }
     BackingStore &phantomStore() { return phantomStore_; }
@@ -248,8 +248,7 @@ class MemorySystem
     std::uint64_t dramReads() const;
     std::uint64_t dramWrites() const;
 
-    /** Count of transactions currently in flight (deadlock checks).
-     *  Sums per-domain cells; call only while no domain is executing. */
+    /** Count of transactions currently in flight (deadlock checks). */
     unsigned inflight() const;
 
     /**
@@ -268,10 +267,9 @@ class MemorySystem
     Coh l2State(int tile, Addr addr) const;
 
   private:
-    /** Per-tile model state: caches, bank locks, MSHRs. Owned by the
-     *  tile's domain; coroutines must hop() to the tile before binding
-     *  a reference, and re-bind after every hop away and back. */
-    // takolint: domain-local
+    /** Per-tile model state: caches, bank locks, MSHRs. Touched only
+     *  by events at that tile: coroutines hop() to the tile before
+     *  binding a reference. */
     struct TileState
     {
         TileState(const MemParams &p, EventQueue &eq)
@@ -405,10 +403,10 @@ class MemorySystem
 
     /**
      * Walk the NoC from @p src to @p dst, migrating the transaction to
-     * the destination tile's domain; everything after the co_await runs
-     * there. Charges the walk to @p bd 's noc component when given.
-     * Returns Mesh::walk's awaiter, which lives in the awaiting frame:
-     * a message costs no coroutine frame of its own.
+     * the destination tile; everything after the co_await runs there.
+     * Charges the walk to @p bd 's noc component when given. Returns
+     * Mesh::walk's awaiter, which lives in the awaiting frame: a message
+     * costs no coroutine frame of its own.
      */
     Mesh::Walk hop(int src, int dst, unsigned bytes,
                    LatBreakdown *bd = nullptr);
@@ -416,11 +414,11 @@ class MemorySystem
     /**
      * Directory-inflicted visit to @p tile on behalf of bank @p bank:
      * walks over, invalidates (or downgrades, @p downgrade) the tile's
-     * copies of @p line in the tile's own domain, walks back, and merges
-     * collected dirtiness into @p dirty_out at the bank. Spawned per
-     * sharer with a Join at the bank, so remote cache mutations always
-     * execute in their owner's domain while the bank waits the true
-     * round-trip time.
+     * copies of @p line at that tile, walks back, and merges collected
+     * dirtiness into @p dirty_out at the bank. Spawned per sharer with
+     * a Join at the bank, so remote cache mutations always execute at
+     * their owner's tile while the bank waits the true round-trip
+     * time.
      */
     Task<> coherenceVisit(int bank, int tile, Addr line, bool downgrade,
                           bool *dirty_out);
@@ -469,7 +467,7 @@ class MemorySystem
     Task<> writebackToL3Task(int tile, Addr line);
 
     /** Clear tile presence in the directory on a private eviction:
-     *  posted to the home bank's domain one quantum ahead, tolerant of
+     *  posted to the home bank's tile one hop ahead, tolerant of
      *  the L3 copy being gone by the time the message lands. */
     void updateDirectoryOnPrivateEvict(int tile, Addr line, bool dirty);
 
@@ -551,7 +549,6 @@ class MemorySystem
     Task<> prefetchLine(int tile, Addr line);
 
     MemParams params_;
-    Domains &dom_;
     EventQueue &eq_;
     StatsRegistry &stats_;
     EnergyModel &energy_;
@@ -568,27 +565,22 @@ class MemorySystem
     std::vector<MemCtrl> ctrls_;
     std::vector<int> ctrlTiles_;
 
-    /** Eviction-callback accounting, homed at tile 0's domain: every
-     *  +1/-1 arrives as a posted message, so flushData's await and the
-     *  retirements serialize on one stream regardless of partition. */
+    /** Eviction-callback accounting, homed at tile 0: every +1/-1
+     *  arrives as a posted message, so flushData's await and the
+     *  retirements serialize on tile 0's stream. */
     std::map<std::uint32_t, Outstanding> outstanding_;
 
-    struct alignas(64) DomainCell
-    {
-        std::uint64_t value = 0;
-    };
-
-    /** In-flight transaction counts, one cell per domain: a transaction
-     *  begins and ends at its requester tile, so the cells balance. */
-    std::vector<DomainCell> inflightLanes_;
+    /** Demand transactions begun and not yet finished. */
+    unsigned inflight_ = 0;
 
     /**
-     * Per-domain phase replica: the phase label plus the lazily-resolved
-     * "dram.reads.<phase>" handles. setPhase() broadcasts the new label
-     * to every domain one quantum ahead; DRAM events read only their own
-     * domain's replica.
+     * Per-controller phase replica: the phase label plus the lazily-
+     * resolved "dram.reads.<phase>" handles. setPhase() broadcasts the
+     * new label to every controller's tile one hop ahead; DRAM events
+     * read only their own controller's replica, so the switch lands at
+     * the same tick and key order the goldens encode.
      */
-    struct alignas(64) PhaseLane
+    struct PhaseLane
     {
         std::string phase = "default";
         Counter *reads = nullptr;

@@ -6,9 +6,9 @@
  * StatsRegistry series — counters plus histogram count/sum/max — at a
  * fixed sim-tick cadence. Samples are a pure function of simulation
  * state (the sink never records host.* gauges), so the file is
- * bit-identical across host thread counts and shard counts for the
- * same run. The layout (all integers little-endian; full byte-level
- * spec in DESIGN.md Sec. 4.10):
+ * bit-identical across host thread counts for the same run. The
+ * layout (all integers little-endian; full byte-level spec in DESIGN.md
+ * Sec. 4.10):
  *
  *   FileHeader (40 bytes)
  *     char[8] magic        "takomon1"

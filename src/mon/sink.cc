@@ -1,6 +1,5 @@
 #include "mon/sink.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -47,19 +46,17 @@ printProgressBeat(const ProgressBeat &b)
                  tail);
 }
 
-TimeSeriesSink::TimeSeriesSink(std::vector<EventQueue *> queues,
-                               StatsRegistry &stats, Options opt)
-    : queues_(std::move(queues)), stats_(stats), opt_(std::move(opt)),
-      capture_(queues_.size())
+TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
+                               Options opt)
+    : eq_(eq), stats_(stats), opt_(std::move(opt))
 {
-    panic_if(queues_.empty(), "takomon sink with no domain queue");
     panic_if(opt_.sampleEvery == 0 && opt_.progressEvery == 0,
              "takomon sink with no cadence (sampleEvery and "
              "progressEvery both zero)");
     fatal_if(!opt_.monPath.empty() && opt_.sampleEvery == 0,
              "a takomon output file needs a sampling interval");
 
-    const Tick now = queues_[0]->now();
+    const Tick now = eq_.now();
     if (opt_.sampleEvery > 0) {
         buildSeries(opt_.patterns);
         StatsTimeSeries &ts = stats_.timeSeries();
@@ -67,7 +64,7 @@ TimeSeriesSink::TimeSeriesSink(std::vector<EventQueue *> queues,
         ts.names.clear();
         for (const SeriesDesc &d : series_)
             ts.names.push_back(d.name);
-        firstBoundary_ = now + opt_.sampleEvery;
+        nextSample_ = now + opt_.sampleEvery;
     }
     if (!opt_.monPath.empty()) {
         MonWriter::Options wopt;
@@ -80,17 +77,9 @@ TimeSeriesSink::TimeSeriesSink(std::vector<EventQueue *> queues,
         nextBeat_ = now + opt_.progressEvery;
         firstBeatHostTime_ = hostNow();
     }
-    for (unsigned d = 0; d < queues_.size(); ++d) {
-        // Every domain captures the same boundaries, so row r of each
-        // capture is the partial at firstBoundary_ + r * sampleEvery.
-        capture_[d].next = firstBoundary_;
-        // Watermark 0: the first event (or runUntil) fires the hook,
-        // which returns this domain's real next boundary.
-        if (capture_[d].next > 0 || d == 0) {
-            queues_[d]->setAdvanceHook(
-                [this, d](Tick to) { return onDomainAdvance(d, to); }, 0);
-        }
-    }
+    // Watermark 0: the first event (or runUntil) fires the hook, which
+    // returns the real next boundary.
+    eq_.setAdvanceHook([this](Tick to) { return onAdvance(to); }, 0);
 }
 
 TimeSeriesSink::~TimeSeriesSink()
@@ -100,77 +89,37 @@ TimeSeriesSink::~TimeSeriesSink()
 }
 
 Tick
-TimeSeriesSink::onDomainAdvance(unsigned d, Tick to)
+TimeSeriesSink::onAdvance(Tick to)
 {
-    // Replay every boundary this domain's clock is crossing. The hook
-    // fires before any event at tick >= the boundary runs here, so the
-    // captured lane partial covers exactly this domain's events strictly
-    // before the boundary — the same cut at every partition.
-    DomainCapture &dc = capture_[d];
-    while (dc.next > 0 && dc.next <= to) {
-        dc.rows.push_back(captureRow(d));
-        dc.next += opt_.sampleEvery;
+    // Replay every boundary the clock is crossing. The hook fires before
+    // any event at tick >= the boundary runs, so each row covers exactly
+    // the events strictly before its boundary.
+    while (nextSample_ > 0 && nextSample_ <= to) {
+        takeSample(nextSample_);
+        nextSample_ += opt_.sampleEvery;
     }
-    if (d == 0) {
-        while (nextBeat_ > 0 && nextBeat_ <= to) {
-            emitBeat(nextBeat_);
-            nextBeat_ += opt_.progressEvery;
-        }
+    while (nextBeat_ > 0 && nextBeat_ <= to) {
+        emitBeat(nextBeat_);
+        nextBeat_ += opt_.progressEvery;
     }
-    Tick wm = dc.next > 0 ? dc.next : ~Tick{0};
-    if (d == 0 && nextBeat_ > 0 && nextBeat_ < wm)
+    Tick wm = nextSample_ > 0 ? nextSample_ : ~Tick{0};
+    if (nextBeat_ > 0 && nextBeat_ < wm)
         wm = nextBeat_;
     return wm;
 }
 
-std::vector<double>
-TimeSeriesSink::captureRow(unsigned d) const
+void
+TimeSeriesSink::takeSample(Tick at)
 {
     std::vector<double> row(sources_.size());
     for (std::size_t i = 0; i < sources_.size(); ++i)
-        row[i] = readLane(sources_[i], d);
-    return row;
-}
-
-std::vector<double>
-TimeSeriesSink::takeRow(unsigned d, std::size_t r)
-{
-    // A domain that drained before boundary r stopped firing its hook;
-    // every one of its events completed, so its partial for the tail is
-    // its final live lane.
-    std::vector<std::vector<double>> &rows = capture_[d].rows;
-    return r < rows.size() ? std::move(rows[r]) : captureRow(d);
-}
-
-void
-TimeSeriesSink::mergeRows()
-{
-    // The domain owning the globally-last event replayed every boundary
-    // up to it, so the longest capture has exactly the run's row count.
-    std::size_t rows = 0;
-    for (const DomainCapture &dc : capture_)
-        rows = std::max(rows, dc.rows.size());
+        row[i] = read(sources_[i]);
+    if (!opt_.monPath.empty())
+        writer_.addSample(at, row);
     StatsTimeSeries &ts = stats_.timeSeries();
-    for (std::size_t r = 0; r < rows; ++r) {
-        std::vector<double> row = takeRow(0, r);
-        for (unsigned d = 1; d < capture_.size(); ++d) {
-            const std::vector<double> part = takeRow(d, r);
-            for (std::size_t i = 0; i < row.size(); ++i) {
-                row[i] = sources_[i].kind == SeriesKind::HistMax
-                             ? std::max(row[i], part[i])
-                             : row[i] + part[i];
-            }
-        }
-        const Tick at =
-            firstBoundary_ + static_cast<Tick>(r) * opt_.sampleEvery;
-        if (!opt_.monPath.empty())
-            writer_.addSample(at, row);
-        ts.ticks.push_back(at);
-        ts.samples.push_back(std::move(row));
-        ++samplesTaken_;
-    }
-    for (DomainCapture &dc : capture_)
-        dc.rows = {};
+    ts.ticks.push_back(at);
+    ts.samples.push_back(std::move(row));
+    ++samplesTaken_;
 }
 
 bool
@@ -179,9 +128,7 @@ TimeSeriesSink::finish()
     if (finished_)
         return error().empty();
     finished_ = true;
-    for (EventQueue *q : queues_)
-        q->clearAdvanceHook();
-    mergeRows();
+    eq_.clearAdvanceHook();
     if (opt_.monPath.empty())
         return error().empty();
     return writer_.close();
@@ -234,17 +181,17 @@ TimeSeriesSink::buildSeries(const std::vector<std::string> &patterns)
 }
 
 double
-TimeSeriesSink::readLane(const Source &s, unsigned d) const
+TimeSeriesSink::read(const Source &s) const
 {
     switch (s.kind) {
       case SeriesKind::Counter:
-        return s.counter->laneValue(d);
+        return s.counter->value();
       case SeriesKind::HistCount:
-        return static_cast<double>(s.hist->laneCount(d));
+        return static_cast<double>(s.hist->count());
       case SeriesKind::HistSum:
-        return s.hist->laneSum(d);
+        return s.hist->sum();
       case SeriesKind::HistMax:
-        return static_cast<double>(s.hist->laneMax(d));
+        return static_cast<double>(s.hist->max());
     }
     return 0;
 }
@@ -254,7 +201,7 @@ TimeSeriesSink::emitBeat(Tick at)
 {
     ProgressBeat b;
     b.tick = at;
-    b.events = queues_[0]->eventsFired();
+    b.events = eq_.eventsFired();
     b.hostSeconds = hostNow() - firstBeatHostTime_;
     b.eventsPerSec = b.hostSeconds > 0
                          ? static_cast<double>(b.events) / b.hostSeconds

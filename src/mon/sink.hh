@@ -2,24 +2,18 @@
  * @file
  * takomon TimeSeriesSink: the one sampling path for periodic telemetry.
  *
- * The sink rides the advance hook of every domain queue of a run (one
- * queue for a monolithic run or a bare test queue, N for a sharded run)
- * and multiplexes every fixed-cadence consumer behind it:
+ * The sink rides the run's event-queue advance hook and multiplexes
+ * every fixed-cadence consumer behind it:
  *
  *  - the in-memory StatsTimeSeries exported by --stats-json;
  *  - an optional takomon-v1 binary file (MonWriter) holding the same
- *    rows, bit-identical across host thread counts and shard counts;
+ *    rows, bit-identical across host thread counts;
  *  - optional progress heartbeats at their own (sim-tick) cadence.
  *
- * Each domain's hook captures that domain's stat-lane partials when its
- * clock first reaches an interval boundary, before the events at that
- * tick run, so a row at tick T reflects everything that completed
- * strictly before T. A hook reads only its own lanes and writes only its
- * own capture buffer, so sampling never synchronizes workers. finish()
- * folds the per-domain rows once, after the run: every event executes at
- * the same tick in exactly one domain at any partition, so the merged
- * rows are the same at every shard count (with one domain and no lanes
- * they are the plain counter values).
+ * The hook fires when the clock first reaches an interval boundary,
+ * before the events at that tick run, so a row at tick T reflects
+ * everything that completed strictly before T. finish() closes the
+ * file once, after the run.
  *
  * Sampled values are a pure function of sim state: the sink samples
  * counters and histograms fixed at construction and never the host.*
@@ -47,7 +41,7 @@ namespace tako::mon
 struct ProgressBeat
 {
     Tick tick = 0;             ///< sim tick of this boundary
-    std::uint64_t events = 0;  ///< events fired so far on queues[0]
+    std::uint64_t events = 0;  ///< events fired so far
     double hostSeconds = 0;    ///< host.* wall time since the first event
     double eventsPerSec = 0;   ///< host.* throughput (events/hostSeconds)
     double fractionDone = -1;  ///< work fraction if known, else < 0
@@ -80,14 +74,12 @@ class TimeSeriesSink
     };
 
     /**
-     * Install on the advance hook of each of @p queues, one per domain
-     * (queues[0] also drives heartbeats). At least one cadence must be
+     * Install on the advance hook of @p eq. At least one cadence must be
      * enabled. All counters/histograms to sample must already be
      * registered in @p stats. A monPath that cannot be created is a
      * fatal (configuration) error — it fails before the run, not after.
      */
-    TimeSeriesSink(std::vector<EventQueue *> queues, StatsRegistry &stats,
-                   Options opt);
+    TimeSeriesSink(EventQueue &eq, StatsRegistry &stats, Options opt);
 
     /** Calls finish() if the owner did not, warning on an error. */
     ~TimeSeriesSink();
@@ -103,17 +95,14 @@ class TimeSeriesSink
     }
 
     /**
-     * End of run: detach from the queues, merge the per-domain rows into
-     * the in-memory series and the takomon file, then flush and close
-     * the file. Call after the run stops and *before*
-     * StatsRegistry::mergeLanes(): boundaries past a drained domain's
-     * last event read that domain's final live lane partials. Idempotent.
-     * Returns false with error() set if any write failed.
+     * End of run: detach from the queue, then flush and close the
+     * takomon file. Idempotent. Returns false with error() set if any
+     * write failed.
      */
     bool finish();
 
     const std::string &error() const { return writer_.error(); }
-    /** Rows merged by finish() (0 before it). */
+    /** Rows sampled so far. */
     std::uint64_t samplesTaken() const { return samplesTaken_; }
     const std::vector<SeriesDesc> &seriesDescs() const { return series_; }
 
@@ -127,14 +116,12 @@ class TimeSeriesSink
     };
 
     void buildSeries(const std::vector<std::string> &patterns);
-    double readLane(const Source &s, unsigned d) const;
-    std::vector<double> captureRow(unsigned d) const;
-    std::vector<double> takeRow(unsigned d, std::size_t r);
-    Tick onDomainAdvance(unsigned d, Tick to);
-    void mergeRows();
+    double read(const Source &s) const;
+    Tick onAdvance(Tick to);
+    void takeSample(Tick at);
     void emitBeat(Tick at);
 
-    std::vector<EventQueue *> queues_; ///< one per domain
+    EventQueue &eq_;
     StatsRegistry &stats_;
     Options opt_;
 
@@ -144,17 +131,7 @@ class TimeSeriesSink
     bool finished_ = false;
     std::uint64_t samplesTaken_ = 0;
 
-    /** One domain's capture state; owned exclusively by that domain's
-     *  worker, padded against false sharing. */
-    struct alignas(64) DomainCapture
-    {
-        Tick next = 0; ///< next series boundary on this domain's clock
-        std::vector<std::vector<double>> rows; ///< lane-partial rows
-    };
-
-    std::vector<DomainCapture> capture_; ///< parallel to queues_
-    Tick firstBoundary_ = 0; ///< tick of row 0
-
+    Tick nextSample_ = 0; ///< next series boundary (0 = disabled)
     Tick nextBeat_ = 0;   ///< next heartbeat boundary (0 = disabled)
     std::function<double()> fractionDone_;
     double firstBeatHostTime_ = 0; ///< host clock at construction

@@ -25,27 +25,8 @@ PhiMorph::PhiMorph(Addr real_next, std::uint64_t num_vertices,
       numRegions_(static_cast<unsigned>(
           divCeil(num_vertices, region_vertices))),
       binCursor_(static_cast<std::size_t>(num_banks) * numRegions_, 0),
-      staging_(static_cast<std::size_t>(num_banks) * numRegions_),
-      lanes_(num_banks)
+      staging_(static_cast<std::size_t>(num_banks) * numRegions_)
 {
-}
-
-std::uint64_t
-PhiMorph::inPlaceLines() const
-{
-    std::uint64_t n = 0;
-    for (const BankLane &l : lanes_)
-        n += l.inPlaceLines;
-    return n;
-}
-
-std::uint64_t
-PhiMorph::binnedUpdates() const
-{
-    std::uint64_t n = 0;
-    for (const BankLane &l : lanes_)
-        n += l.binnedUpdates;
-    return n;
 }
 
 Task<>
@@ -76,11 +57,10 @@ PhiMorph::onWriteback(EngineCtx &ctx)
     if (updates == 0)
         co_return;
 
-    BankLane &lane = lanes_[static_cast<std::size_t>(ctx.tile())];
     if (updates >= threshold_) {
         // Dense: apply in-place. All eight words share one real line, so
         // this costs one line of memory traffic.
-        ++lane.inPlaceLines;
+        ++inPlaceLines_;
         Join join(ctx.eq());
         for (unsigned i = 0; i < wordsPerLine; ++i) {
             const std::uint64_t delta = ctx.capturedLine()[i];
@@ -107,7 +87,7 @@ PhiMorph::onWriteback(EngineCtx &ctx)
         if ((cursor + 8) * 16 > binCapacityBytes_) {
             // Bin full: fall back to applying in place (PHI's policy
             // degrades gracefully instead of losing updates).
-            ++lane.inPlaceLines;
+            ++inPlaceLines_;
             Join join(ctx.eq());
             for (unsigned i = 0; i < wordsPerLine; ++i) {
                 const std::uint64_t delta = ctx.capturedLine()[i];
@@ -133,7 +113,7 @@ PhiMorph::onWriteback(EngineCtx &ctx)
             st.vertex[st.count] = vbase + i;
             st.delta[st.count] = delta;
             ++st.count;
-            ++lane.binnedUpdates;
+            ++binnedUpdates_;
             if (st.count == 4) {
                 const Addr entry = binAddr(bank, region) + cursor * 16;
                 for (unsigned e = 0; e < 4; ++e) {

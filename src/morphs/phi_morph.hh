@@ -60,11 +60,10 @@ class PhiMorph : public Morph
                    binCapacityBytes_;
     }
 
-    /** Lines applied in place, summed over the banks' lanes. Call
-     *  only while no domain is executing. */
-    std::uint64_t inPlaceLines() const;
-    /** Updates logged to bins, summed over the banks' lanes. */
-    std::uint64_t binnedUpdates() const;
+    /** Lines applied in place. */
+    std::uint64_t inPlaceLines() const { return inPlaceLines_; }
+    /** Updates logged to bins. */
+    std::uint64_t binnedUpdates() const { return binnedUpdates_; }
 
     /**
      * Drain staged (not yet line-complete) bin entries after flushData.
@@ -102,18 +101,8 @@ class PhiMorph : public Morph
     };
     std::vector<Staged> staging_;
 
-    /**
-     * Outcome counters, one cache-line-sized lane per bank. Callbacks of
-     * one bank's engine view all run in that tile's domain, so under
-     * --shards>1 each lane has a single writer thread; the accessors
-     * sum the lanes after the run.
-     */
-    struct alignas(64) BankLane
-    {
-        std::uint64_t inPlaceLines = 0;
-        std::uint64_t binnedUpdates = 0;
-    };
-    std::vector<BankLane> lanes_;
+    std::uint64_t inPlaceLines_ = 0;
+    std::uint64_t binnedUpdates_ = 0;
 };
 
 } // namespace tako

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "sim/domains.hh"
+#include "sim/event_queue.hh"
 
 namespace tako
 {
@@ -63,11 +63,10 @@ Mesh::reserveLink(std::size_t li, Tick head, unsigned flits)
 }
 
 void
-Mesh::chargeFlitHops(unsigned flits, unsigned hops, bool aggregate)
+Mesh::chargeFlitHops(unsigned flits, unsigned hops)
 {
     const std::uint64_t n = std::uint64_t(flits) * hops;
-    if (aggregate)
-        flitHops_ += n;
+    flitHops_ += n;
     *flitHopsStat_ += static_cast<double>(n);
     energy_.nocFlitHops(n);
 }
@@ -113,7 +112,7 @@ Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
     // Destination router plus tail-flit serialization.
     head += params_.routerDelay + (flits - 1);
 
-    chargeFlitHops(flits, hop_count, true);
+    chargeFlitHops(flits, hop_count);
     return head - now;
 }
 
@@ -126,12 +125,12 @@ Mesh::Walk::await_suspend(std::coroutine_handle<> caller)
     if (src_ == dst_) {
         ++*mesh_.localMessages_;
         ticks_ = mesh_.params_.routerDelay;
-        dom_.post(src_, ticks_, [this] { arrive(); });
+        eq_.post(src_, ticks_, [this] { arrive(); });
         return;
     }
 
     const int dimX = static_cast<int>(mesh_.params_.dimX);
-    ticks_ = detail::execCtx.queue->now();
+    ticks_ = eq_.now();
     x_ = src_ % dimX;
     y_ = src_ / dimX;
     step();
@@ -144,28 +143,25 @@ Mesh::Walk::step()
     const int dimX = static_cast<int>(m.params_.dimX);
     const int dx = dst_ % dimX;
 
-    // X leg: every hop crosses a column, so each reservation happens in
-    // an event at the link's source tile (its owning domain) at the head
-    // flit's arrival tick, and the next arrival is routerDelay+linkDelay
-    // (= one quantum) ahead — exactly the plan's lookahead floor.
+    // X leg: each reservation happens in an event at the link's source
+    // tile at the head flit's arrival tick, and the next arrival is
+    // routerDelay + linkDelay ahead, keyed on the next router's stream.
     if (x_ != dx) {
         const int dir = (dx > x_) ? East : West;
-        const Tick start =
-            m.reserveLink(m.linkIndex(y_ * dimX + x_, dir),
-                          detail::execCtx.queue->now(), flits_);
+        const Tick start = m.reserveLink(m.linkIndex(y_ * dimX + x_, dir),
+                                         eq_.now(), flits_);
         ++hops_;
         x_ += (dx > x_) ? 1 : -1;
-        dom_.postAbs(y_ * dimX + x_,
-                     start + m.params_.routerDelay + m.params_.linkDelay,
-                     [this] { step(); });
+        eq_.postAbs(y_ * dimX + x_,
+                    start + m.params_.routerDelay + m.params_.linkDelay,
+                    [this] { step(); });
         return;
     }
 
-    // Y leg: the whole column belongs to the current domain, so the
-    // remaining links are reserved here and now, in one event, with the
-    // same per-hop recurrence traverse() uses.
+    // Y leg: the remaining links are reserved here and now, in one
+    // event, with the same per-hop recurrence traverse() uses.
     const int dy = dst_ / dimX;
-    Tick head = detail::execCtx.queue->now();
+    Tick head = eq_.now();
     while (y_ != dy) {
         const int dir = (dy > y_) ? South : North;
         const Tick start =
@@ -177,12 +173,9 @@ Mesh::Walk::step()
     // Destination router plus tail-flit serialization.
     head += m.params_.routerDelay + (flits_ - 1);
 
-    // The plain aggregate backs the flitHops() accessor (profiler
-    // cross-checks); with several domains it would be a data race, and
-    // the laned noc.flitHops stat already carries the total.
-    m.chargeFlitHops(flits_, hops_, dom_.domainCount() == 1);
+    m.chargeFlitHops(flits_, hops_);
     ticks_ = head - ticks_;
-    dom_.postAbs(dst_, head, [this] { arrive(); });
+    eq_.postAbs(dst_, head, [this] { arrive(); });
 }
 
 void

@@ -23,7 +23,7 @@
 namespace tako
 {
 
-class Domains;
+class EventQueue;
 
 struct MeshParams
 {
@@ -48,6 +48,18 @@ class Mesh
     unsigned hops(int src, int dst) const;
 
     /**
+     * Latency of one router-to-router hop (routerDelay + linkDelay, at
+     * least 1): the delay every tile-to-tile control message (unlock,
+     * directory clear, phase broadcast, barrier arrival) is posted with.
+     */
+    Tick
+    hopDelay() const
+    {
+        const Tick d = params_.routerDelay + params_.linkDelay;
+        return d > 0 ? d : 1;
+    }
+
+    /**
      * Deliver a @p bytes -byte message from @p src to @p dst starting at
      * @p now; reserves link time on the path.
      * @return latency until the tail flit arrives.
@@ -57,23 +69,23 @@ class Mesh
     class Walk;
 
     /**
-     * Domain-decomposed delivery: the message walks the XY path as a
-     * chain of router-arrival events, reserving each directed link in
-     * its owning tile's domain at the head flit's actual arrival time,
-     * and the awaiting coroutine resumes *at the destination tile* when
-     * the tail flit lands. Latency arithmetic per hop matches
-     * traverse(); contention is resolved in arrival order (partition-
-     * invariant) rather than at send time. The X leg hops column to
-     * column (one event per router); the Y leg is one segment, since a
-     * whole column shares a domain under the column-band plan.
-     * When @p latency is given, the walk's latency (send to tail-flit
-     * arrival) is added to *@p latency.
+     * Event-driven delivery on @p eq: the message walks the XY path as
+     * a chain of router-arrival events, reserving each directed link at
+     * the head flit's actual arrival time, and the awaiting coroutine
+     * resumes *at the destination tile* when the tail flit lands.
+     * Latency arithmetic per hop matches traverse(); contention is
+     * resolved in arrival order rather than at send time. The X leg
+     * hops column to column (one event per router, each keyed on the
+     * router's tile stream); the Y leg is one segment. Those per-hop
+     * events fix the same-tick order the goldens encode (DESIGN.md
+     * §4.1). When @p latency is given, the walk's latency (send to
+     * tail-flit arrival) is added to *@p latency.
      *
      * The result is an awaiter, not a coroutine: `co_await walk(...)`
      * keeps the walk's state in the awaiting frame, and the arrival
      * event resumes the caller directly.
      */
-    Walk walk(Domains &dom, int src, int dst, unsigned bytes,
+    Walk walk(EventQueue &eq, int src, int dst, unsigned bytes,
               Tick *latency = nullptr);
 
     std::uint64_t flitHops() const { return flitHops_; }
@@ -114,7 +126,7 @@ class Mesh
     Tick reserveLink(std::size_t li, Tick head, unsigned flits);
 
     /** Charge @p hops hops of a @p flits -flit message to the stats. */
-    void chargeFlitHops(unsigned flits, unsigned hops, bool aggregate);
+    void chargeFlitHops(unsigned flits, unsigned hops);
 
     MeshParams params_;
     EnergyModel &energy_;
@@ -147,9 +159,9 @@ class [[nodiscard]] Mesh::Walk
   private:
     friend class Mesh;
 
-    Walk(Mesh &mesh, Domains &dom, int src, int dst, unsigned bytes,
+    Walk(Mesh &mesh, EventQueue &eq, int src, int dst, unsigned bytes,
          Tick *latency)
-        : mesh_(mesh), dom_(dom), latency_(latency), src_(src), dst_(dst),
+        : mesh_(mesh), eq_(eq), latency_(latency), src_(src), dst_(dst),
           flits_(mesh.flitsOf(bytes))
     {
     }
@@ -161,7 +173,7 @@ class [[nodiscard]] Mesh::Walk
     void arrive();
 
     Mesh &mesh_;
-    Domains &dom_;
+    EventQueue &eq_;
     Tick *latency_;
     std::coroutine_handle<> caller_;
     /** Send tick until the arrival is booked, then the latency. */
@@ -175,9 +187,9 @@ class [[nodiscard]] Mesh::Walk
 };
 
 inline Mesh::Walk
-Mesh::walk(Domains &dom, int src, int dst, unsigned bytes, Tick *latency)
+Mesh::walk(EventQueue &eq, int src, int dst, unsigned bytes, Tick *latency)
 {
-    return Walk(*this, dom, src, dst, bytes, latency);
+    return Walk(*this, eq, src, dst, bytes, latency);
 }
 
 } // namespace tako

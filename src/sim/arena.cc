@@ -21,9 +21,8 @@ struct ArenaState
 ArenaState &
 state()
 {
-    // One arena per host thread: shard workers and ensemble lanes each
-    // allocate frames without locks, and two threads never share a free
-    // list. Function-local so the arena is usable from any static-init
+    // One arena per host thread: ensemble lanes each allocate frames
+    // without locks, and two threads never share a free list. Function-local so the arena is usable from any static-init
     // context. The state is intentionally leaked rather than destroyed
     // at thread exit: a frame allocated on a worker thread may be freed
     // later from another thread (e.g. the owner destroys a drained

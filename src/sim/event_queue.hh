@@ -30,18 +30,23 @@
  * so lane FIFO order is seq order; (4) two different ticks in the window
  * cannot collide in a slot because the window spans exactly one wheel
  * period. See DESIGN.md "Simulation kernel internals".
+ *
+ * A System's queue is *keyed* (enableStreamKeys): every event carries a
+ * (source stream, per-stream sequence) tie-break key instead of the
+ * insertion counter, and the tile-to-tile router (post/postAbs/hopTo)
+ * draws that key from the sending tile's stream. The same-tick order is
+ * then a function of each tile's own event history; the goldens encode
+ * it (DESIGN.md §4.1).
  */
 
 #ifndef TAKO_SIM_EVENT_QUEUE_HH
 #define TAKO_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <coroutine>
 #include <cstdint>
-#ifdef TAKO_EVENT_TRACE
-#include <cstdio>
-#include <cstdlib>
-#endif
 #include <functional>
 #include <queue>
 #include <utility>
@@ -61,51 +66,6 @@ enum class EventPriority : int
     High = -1,
     Default = 0,
     Low = 1,
-};
-
-/**
- * Partition-invariant tie-break keys for domain-decomposed runs.
- *
- * A monolithic queue breaks (tick, priority) ties with one insertion
- * counter — an order that depends on which other streams' events
- * interleave with the scheduler's, and therefore on how the model is
- * partitioned. Decomposed runs instead key every event by
- * (source stream, per-stream sequence): each logical stream (tile) hands
- * out its own sequence numbers in its own execution order, which is a
- * pure function of simulation state. Sorting same-tick events by that
- * packed key yields the identical total order at every shard count
- * (DESIGN.md §4.6).
- *
- * Each stream's cell is only ever touched by the one domain that owns
- * the stream's tile, so the shared table needs no atomics — just cache-
- * line padding so neighboring owners don't false-share.
- */
-class StreamKeySource
-{
-  public:
-    /** Low bits hold the per-stream sequence; high bits the stream. */
-    static constexpr unsigned kSeqBits = 44;
-
-    explicit StreamKeySource(std::size_t streams) : cells_(streams) {}
-
-    std::uint64_t
-    next(std::uint32_t stream)
-    {
-        // 2^44 events per stream outlasts any realistic run; the pack
-        // would need a widening long before the counter wraps.
-        return (std::uint64_t{stream} << kSeqBits) |
-               cells_[stream].seq++;
-    }
-
-    std::size_t streams() const { return cells_.size(); }
-
-  private:
-    struct alignas(64) Cell
-    {
-        std::uint64_t seq = 0;
-    };
-
-    std::vector<Cell> cells_;
 };
 
 class EventQueue
@@ -134,62 +94,110 @@ class EventQueue
     scheduleAbs(Tick when, F &&fn,
                 EventPriority prio = EventPriority::Default)
     {
-        panic_if(when < now_, "scheduling event in the past (%llu < %llu)",
-                 (unsigned long long)when, (unsigned long long)now_);
-        EventNode *n = pool_.alloc();
-        n->when = when;
-        if (streams_) {
-            // Decomposed mode: key by the scheduling context's stream;
-            // the continuation keeps executing at the same place.
+        if (keyed()) {
+            // Key by the scheduling context's stream; the continuation
+            // keeps executing at the same tile.
             const std::uint32_t s = detail::execCtx.stream;
-            n->seq = streams_->next(s);
-            n->execStream = s;
+            enqueue(when, std::forward<F>(fn), prio, nextKey(s), s);
         } else {
-            n->seq = nextSeq_++;
-            n->execStream = 0;
+            enqueue(when, std::forward<F>(fn), prio, nextSeq_++, 0);
         }
-        n->priority = static_cast<std::int8_t>(prio);
-        n->emplace(std::forward<F>(fn));
-        insert(n);
     }
 
     /**
-     * Schedule with an explicit, already-assigned tie-break key and
-     * execution stream. Used by the shard router: cross-domain events
-     * are keyed at the *sender* (whose stream counter is race-free
-     * there) and delivered here at a barrier, and tile-to-tile posts
-     * set the destination tile's stream as the execution context.
+     * Key every event scheduled from now on by (stream, per-stream
+     * sequence), with one stream per tile of a @p tiles -tile mesh plus
+     * the system stream 0. Each stream numbers its own events in its own
+     * execution order, so a same-tick tie resolves by which tile sent
+     * the event, not by when the scheduler happened to interleave it.
+     */
+    void
+    enableStreamKeys(unsigned tiles)
+    {
+        streamSeq_.assign(std::size_t{tiles} + 1, 0);
+    }
+
+    /** True once enableStreamKeys() installed the per-stream keys. */
+    bool keyed() const { return !streamSeq_.empty(); }
+
+    /** Logical stream of a tile; stream 0 is the system/default. */
+    static std::uint32_t
+    streamOf(int tile)
+    {
+        return static_cast<std::uint32_t>(tile) + 1;
+    }
+
+    /** Tile the current event executes at (@p fallback when the context
+     *  runs on the system stream, e.g. pre-run setup). */
+    static int
+    ctxTile(int fallback = 0)
+    {
+        const std::uint32_t s = detail::execCtx.stream;
+        return s == 0 ? fallback : static_cast<int>(s) - 1;
+    }
+
+    /**
+     * Schedule @p fn to execute at tile @p dstTile at absolute tick
+     * @p when. The key is drawn from the calling context's stream; the
+     * event runs with the destination tile's stream as its context, so
+     * everything it schedules draws from that tile's stream. Requires a
+     * keyed queue.
      */
     template <typename F>
     void
-    scheduleKeyed(Tick when, F &&fn, EventPriority prio,
-                  std::uint64_t key, std::uint32_t execStream)
+    postAbs(int dstTile, Tick when, F &&fn,
+            EventPriority prio = EventPriority::Default)
     {
-        panic_if(when < now_, "scheduling event in the past (%llu < %llu)",
-                 (unsigned long long)when, (unsigned long long)now_);
-        EventNode *n = pool_.alloc();
-        n->when = when;
-        n->seq = key;
-        n->execStream = execStream;
-        n->priority = static_cast<std::int8_t>(prio);
-        n->emplace(std::forward<F>(fn));
-        insert(n);
+        panic_if(!keyed(), "tile post on a queue without stream keys");
+        enqueue(when, std::forward<F>(fn), prio,
+                nextKey(detail::execCtx.stream), streamOf(dstTile));
+    }
+
+    /** postAbs at now() + @p delta. */
+    template <typename F>
+    void
+    post(int dstTile, Tick delta, F &&fn,
+         EventPriority prio = EventPriority::Default)
+    {
+        postAbs(dstTile, now_ + delta, std::forward<F>(fn), prio);
     }
 
     /**
-     * Install the shared per-stream key source (null reverts to the
-     * insertion-counter order). All events scheduled afterwards are
-     * keyed (stream, per-stream seq), making the same-tick order a pure
-     * function of simulation state at any shard count.
+     * Awaitable that moves the coroutine to tile @p dstTile, resuming
+     * there at absolute tick @p when: everything the coroutine schedules
+     * after the hop draws keys from the destination tile's stream.
      */
-    void setStreamKeys(StreamKeySource *streams) { streams_ = streams; }
+    auto
+    hopToAbs(int dstTile, Tick when,
+             EventPriority prio = EventPriority::Default)
+    {
+        struct Hop
+        {
+            EventQueue &eq;
+            int tile;
+            Tick when;
+            EventPriority prio;
 
-    /** True when this queue orders ties by partition-invariant keys. */
-    bool keyed() const { return streams_ != nullptr; }
+            bool await_ready() const noexcept { return false; }
 
-    /** Shard-domain index published in ExecCtx while events run. */
-    void setDomainIndex(std::uint32_t d) { domainIndex_ = d; }
-    std::uint32_t domainIndex() const { return domainIndex_; }
+            void
+            await_suspend(std::coroutine_handle<> h)
+            {
+                eq.postAbs(tile, when, [h]() { h.resume(); }, prio);
+            }
+
+            void await_resume() const noexcept {}
+        };
+        return Hop{*this, dstTile, when, prio};
+    }
+
+    /** hopToAbs at now() + @p delta. */
+    auto
+    hopTo(int dstTile, Tick delta,
+          EventPriority prio = EventPriority::Default)
+    {
+        return hopToAbs(dstTile, now_ + delta, prio);
+    }
 
     /** Number of pending events. */
     std::size_t pending() const { return wheelCount_ + overflow_.size(); }
@@ -214,16 +222,9 @@ class EventQueue
         if (now_ > base_)
             advanceBase(now_);
         ++fired_;
-#ifdef TAKO_EVENT_TRACE
-        if (FILE *f = eventTraceFile())
-            std::fprintf(f, "%llu %d %u %llu\n",
-                         (unsigned long long)e->when, (int)e->priority,
-                         e->execStream, (unsigned long long)e->seq);
-#endif
-        // Publish where this event executes so model code that migrates
-        // between tiles can find its current queue/stream/domain.
+        // Publish the tile this event executes at: what it schedules
+        // draws keys from that tile's stream.
         detail::execCtx.queue = this;
-        detail::execCtx.domain = domainIndex_;
         detail::execCtx.stream = e->execStream;
         e->run();
         pool_.release(e);
@@ -257,28 +258,6 @@ class EventQueue
             if (limit > base_)
                 advanceBase(limit);
         }
-    }
-
-    /**
-     * Run every event with when <= @p limit, leaving time at the last
-     * executed event instead of forcing it to @p limit. This is the
-     * window primitive for sharded execution: a shard simulates its
-     * quantum without disturbing final-time-derived statistics, so a
-     * sharded run's clock matches a monolithic run's bit for bit.
-     */
-    void
-    runThrough(Tick limit)
-    {
-        Tick next;
-        while (peekWhen(next) && next <= limit)
-            step();
-    }
-
-    /** Earliest pending event time, if any (sharded-run scheduling). */
-    bool
-    nextEventTime(Tick &out) const
-    {
-        return peekWhen(out);
     }
 
     /**
@@ -316,6 +295,7 @@ class EventQueue
         now_ = 0;
         base_ = 0;
         nextSeq_ = 0;
+        std::fill(streamSeq_.begin(), streamSeq_.end(), 0);
         fired_ = 0;
     }
 
@@ -324,9 +304,8 @@ class EventQueue
 
     /**
      * Leaving an execution loop invalidates the published context: the
-     * next consumer may be a different queue's loop (replica lanes, the
-     * sharded executor's drain phase) or plain test code completing
-     * primitives inline, which must fall back to their stored queue.
+     * next consumer may be a different queue's loop (the next replica
+     * on an ensemble lane) or plain pre-run setup.
      */
     static void
     clearExecCtx()
@@ -374,6 +353,35 @@ class EventQueue
         }
     };
 
+    /** Queue @p fn at @p when with tie-break @p key, to run on stream
+     *  @p execStream. */
+    template <typename F>
+    void
+    enqueue(Tick when, F &&fn, EventPriority prio, std::uint64_t key,
+            std::uint32_t execStream)
+    {
+        panic_if(when < now_, "scheduling event in the past (%llu < %llu)",
+                 (unsigned long long)when, (unsigned long long)now_);
+        EventNode *n = pool_.alloc();
+        n->when = when;
+        n->seq = key;
+        n->execStream = execStream;
+        n->priority = static_cast<std::int8_t>(prio);
+        n->emplace(std::forward<F>(fn));
+        insert(n);
+    }
+
+    /** Next key of @p stream: the stream in the high bits, its own
+     *  event count in the low kSeqBits (2^44 events per stream outlast
+     *  any realistic run). */
+    std::uint64_t
+    nextKey(std::uint32_t stream)
+    {
+        return (std::uint64_t{stream} << kSeqBits) | streamSeq_[stream]++;
+    }
+
+    static constexpr unsigned kSeqBits = 44;
+
     /**
      * Out-of-line on purpose: keeps the call (which clobbers caller-saved
      * registers) off step()'s hot path, so the watermark miss costs one
@@ -402,11 +410,11 @@ class EventQueue
         const std::size_t idx = static_cast<std::size_t>(n->when & kWheelMask);
         Lane &lane = wheel_[idx].lanes[n->priority + 1];
         // A lane holds one (tick, priority) class, so FIFO position must
-        // equal key order. Monolithic keys are the insertion counter and
-        // always append; decomposed keys (stream, seq) usually ascend
-        // too — bursts come from one stream — so the tail compare stays
-        // the hot path and the walk only runs on genuine cross-stream
-        // collisions (a handful of nodes at most).
+        // equal key order. Insertion-counter keys always append; stream
+        // keys (stream, seq) usually ascend too — bursts come from one
+        // stream — so the tail compare stays the hot path and the walk
+        // only runs on genuine cross-stream collisions (a handful of
+        // nodes at most).
         n->next = nullptr;
         if (!lane.tail || lane.tail->seq <= n->seq) {
             if (lane.tail)
@@ -557,56 +565,12 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t fired_ = 0;
-    /** Shared per-stream key source (null = insertion-counter order). */
-    StreamKeySource *streams_ = nullptr;
-    /** Shard domain this queue belongs to (ExecCtx, stats lanes). */
-    std::uint32_t domainIndex_ = 0;
+    /** Per-stream event counters (empty = insertion-counter order). */
+    std::vector<std::uint64_t> streamSeq_;
     /** Next tick the advance hook wants; kNoWatermark = hook off. */
     Tick hookWatermark_ = kNoWatermark;
     std::function<Tick(Tick)> advanceHook_;
-
-#ifdef TAKO_EVENT_TRACE
-    FILE *traceFile_ = nullptr;
-    FILE *
-    eventTraceFile()
-    {
-        if (!traceFile_) {
-            // takolint: ok(D2, debug-only: trace never feeds sim state)
-            const char *prefix = std::getenv("TAKO_EVENT_TRACE");
-            if (!prefix)
-                return nullptr;
-            char path[512];
-            std::snprintf(path, sizeof path, "%s.d%u", prefix,
-                          domainIndex_);
-            traceFile_ = std::fopen(path, "a");
-        }
-        return traceFile_;
-    }
-#endif
 };
-
-/**
- * Queue to schedule follow-up work on from model code that may be
- * executing away from home. In a decomposed (keyed) run, transactions
- * migrate across tiles, so the right queue is wherever the current event
- * is executing; outside keyed mode — standalone components, unit tests,
- * calls made before or after the run — it is the component's own stored
- * queue. Monolithic keyed runs have one queue, so both answers coincide.
- */
-inline EventQueue &
-homeQueue(EventQueue &fallback)
-{
-    EventQueue *q = detail::execCtx.queue;
-    return (q && q->keyed()) ? *q : fallback;
-}
-
-/** Simulated time at the current execution context (see homeQueue). */
-inline Tick
-ctxNow(const EventQueue &fallback)
-{
-    const EventQueue *q = detail::execCtx.queue;
-    return (q && q->keyed()) ? q->now() : fallback.now();
-}
 
 } // namespace tako
 

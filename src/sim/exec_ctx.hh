@@ -1,18 +1,15 @@
 /**
  * @file
- * Per-thread execution context for domain-decomposed simulation.
+ * Per-thread execution context of the running event.
  *
- * Every event in a decomposed run executes "at" a logical stream (a tile,
- * or the reserved system stream 0) inside one shard domain. The kernel
- * publishes that location here while the event's callback runs, so model
- * code that migrates between tiles (memory transactions walking the NoC)
- * can always reach the queue it is currently executing on without
- * carrying an EventQueue reference through every coroutine frame.
+ * Every event executes "at" a logical stream: a tile, or the reserved
+ * system stream 0. The kernel publishes that location here while the
+ * event's callback runs, so the tile-to-tile router (EventQueue::post,
+ * hopTo) draws each new event's tie-break key from the sending tile's
+ * stream without carrying the tile through every coroutine frame.
  *
- * The context is thread-local: one worker thread executes at most one
- * domain's events at a time (the sharded executor's windows are
- * per-domain sequential), so a plain write in EventQueue::step() is
- * race-free. Monolithic runs use the same mechanism with one domain.
+ * The context is thread-local because ensemble replicas run their own
+ * queues concurrently, one per host lane.
  */
 
 #ifndef TAKO_SIM_EXEC_CTX_HH
@@ -27,11 +24,10 @@ namespace tako
 
 class EventQueue;
 
-/** Where the current event is executing: queue, shard domain, stream. */
+/** Where the current event is executing: queue and stream. */
 struct ExecCtx
 {
     EventQueue *queue = nullptr; ///< queue whose event is running
-    std::uint32_t domain = 0;    ///< shard domain index (stats lanes)
     std::uint32_t stream = 0;    ///< logical source stream (tile + 1)
 };
 
@@ -40,38 +36,11 @@ namespace detail
 inline thread_local ExecCtx execCtx;
 } // namespace detail
 
-inline ExecCtx &execCtx() { return detail::execCtx; }
-
-/** Shard-domain index of the running event (0 when monolithic). */
-inline std::uint32_t ctxDomain() { return detail::execCtx.domain; }
-
 /** Logical stream of the running event (0 = system/default). */
 inline std::uint32_t ctxStream() { return detail::execCtx.stream; }
 
 /** Queue the current event is executing on (null outside events). */
 inline EventQueue *ctxQueue() { return detail::execCtx.queue; }
-
-/**
- * RAII stream override for code that starts work on behalf of another
- * stream from a context that has none (per-domain guest bootstrap).
- */
-class ScopedStream
-{
-  public:
-    explicit ScopedStream(std::uint32_t stream)
-        : saved_(detail::execCtx.stream)
-    {
-        detail::execCtx.stream = stream;
-    }
-
-    ~ScopedStream() { detail::execCtx.stream = saved_; }
-
-    ScopedStream(const ScopedStream &) = delete;
-    ScopedStream &operator=(const ScopedStream &) = delete;
-
-  private:
-    std::uint32_t saved_;
-};
 
 } // namespace tako
 

@@ -16,121 +16,39 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "sim/exec_ctx.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace tako
 {
 
-/**
- * A scalar, accumulating statistic.
- *
- * In a domain-decomposed run (StatsRegistry::enableLanes) every
- * accumulation lands in the executing domain's private lane, so shard
- * workers never contend on a cache line. Lane partials merge exactly:
- * every simulated increment is integer-valued (event counts, byte
- * counts, integral energy units), and integer sums below 2^53 are exact
- * in a double regardless of addition order — so the merged total is
- * bit-identical to the monolithic accumulation.
- */
+/** A scalar, accumulating statistic. */
 class Counter
 {
   public:
-    Counter() = default;
-
-    /** Snapshots fold lanes into the plain value. */
-    Counter(const Counter &o) : value_(o.value()) {}
-
-    Counter &
-    operator=(const Counter &o)
-    {
-        value_ = o.value();
-        lanes_.reset();
-        laneCount_ = 0;
-        return *this;
-    }
-
     Counter &
     operator+=(double v)
     {
-        if (lanes_)
-            lanes_[ctxDomain()] += v;
-        else
-            value_ += v;
+        value_ += v;
         return *this;
     }
 
     Counter &operator++() { return *this += 1; }
     void operator++(int) { *this += 1; }
 
-    double
-    value() const
-    {
-        double v = value_;
-        for (unsigned i = 0; i < laneCount_; ++i)
-            v += lanes_[i];
-        return v;
-    }
+    double value() const { return value_; }
 
-    /** Overwrite the value; for host-side gauges (wall clock, rates).
-     *  Only meaningful outside the decomposed hot path (pre/post-run). */
-    void
-    set(double v)
-    {
-        value_ = v;
-        for (unsigned i = 0; i < laneCount_; ++i)
-            lanes_[i] = 0;
-    }
+    /** Overwrite the value; for host-side gauges (wall clock, rates). */
+    void set(double v) { value_ = v; }
 
     void reset() { set(0); }
 
-    /** Allocate @p n per-domain lanes (idempotent). */
-    void
-    enableLanes(unsigned n)
-    {
-        if (lanes_)
-            return;
-        lanes_ = std::make_unique<double[]>(n);
-        std::fill(lanes_.get(), lanes_.get() + n, 0.0);
-        laneCount_ = n;
-    }
-
-    bool hasLanes() const { return static_cast<bool>(lanes_); }
-
-    /**
-     * Domain @p d's partial (mid-run safe: each domain reads its own).
-     * Domain 0's partial carries the unlaned base (values set() before
-     * lanes existed, e.g. at construction), so partials always sum to
-     * value() exactly.
-     */
-    double
-    laneValue(unsigned d) const
-    {
-        const double base = d == 0 ? value_ : 0.0;
-        return base + (lanes_ ? lanes_[d] : 0.0);
-    }
-
-    /** Fold lane partials into the plain value (post-run, single thread). */
-    void
-    mergeLanes()
-    {
-        if (!lanes_)
-            return;
-        value_ = value();
-        std::fill(lanes_.get(), lanes_.get() + laneCount_, 0.0);
-    }
-
   private:
     double value_ = 0;
-    std::unique_ptr<double[]> lanes_; ///< per-domain partials (optional)
-    unsigned laneCount_ = 0;
 };
 
 /** A histogram over fixed-width buckets plus mean tracking. */
@@ -145,47 +63,9 @@ class Histogram
     {
     }
 
-    /** Snapshots fold lanes into the base fields. */
-    Histogram(const Histogram &o)
-        : buckets_(o.buckets_), width_(o.width_), count_(o.count_),
-          sum_(o.sum_), max_(o.max_)
-    {
-        for (unsigned i = 0; i < o.laneCount_; ++i) {
-            const Histogram &l = o.lanes_[i];
-            for (std::size_t b = 0; b < buckets_.size(); ++b)
-                buckets_[b] += l.buckets_[b];
-            count_ += l.count_;
-            sum_ += l.sum_;
-            max_ = std::max(max_, l.max_);
-        }
-    }
-
-    Histogram &
-    operator=(const Histogram &o)
-    {
-        if (this != &o) {
-            Histogram folded(o);
-            buckets_ = std::move(folded.buckets_);
-            width_ = folded.width_;
-            count_ = folded.count_;
-            sum_ = folded.sum_;
-            max_ = folded.max_;
-            lanes_.reset();
-            laneCount_ = 0;
-        }
-        return *this;
-    }
-
-    Histogram(Histogram &&) = default;
-    Histogram &operator=(Histogram &&) = default;
-
     void
     sample(std::uint64_t v)
     {
-        if (lanes_) {
-            lanes_[ctxDomain()].sample(v);
-            return;
-        }
         // Skip the integer division for sub-bucket-width values: latency
         // breakdowns sample several mostly-zero components per access,
         // which would otherwise put six divides on the L1-hit path.
@@ -197,60 +77,6 @@ class Histogram
         sum_ += static_cast<double>(v);
         if (v > max_)
             max_ = v;
-    }
-
-    /** Allocate @p n per-domain lane histograms (idempotent). Reads of
-     *  count()/sum()/max()/buckets() require mergeLanes() first. */
-    void
-    enableLanes(unsigned n)
-    {
-        if (lanes_)
-            return;
-        laneCount_ = n;
-        lanes_ = std::make_unique<Histogram[]>(n);
-        for (unsigned i = 0; i < n; ++i)
-            lanes_[i] = Histogram(numBuckets(), bucketWidth());
-    }
-
-    bool hasLanes() const { return static_cast<bool>(lanes_); }
-
-    /** Mid-run per-domain partials (each domain reads only its own).
-     *  Domain 0's partial carries the unlaned base fields, mirroring
-     *  Counter::laneValue, so partials merge to the full totals. */
-    std::uint64_t
-    laneCount(unsigned d) const
-    {
-        return (d == 0 ? count_ : 0) + (lanes_ ? lanes_[d].count_ : 0);
-    }
-
-    double
-    laneSum(unsigned d) const
-    {
-        return (d == 0 ? sum_ : 0.0) + (lanes_ ? lanes_[d].sum_ : 0.0);
-    }
-
-    std::uint64_t
-    laneMax(unsigned d) const
-    {
-        const std::uint64_t base = d == 0 ? max_ : 0;
-        return lanes_ ? std::max(base, lanes_[d].max_) : base;
-    }
-
-    /** Fold lane partials into the base fields (post-run, one thread). */
-    void
-    mergeLanes()
-    {
-        if (!lanes_)
-            return;
-        for (unsigned i = 0; i < laneCount_; ++i) {
-            Histogram &l = lanes_[i];
-            for (std::size_t b = 0; b < buckets_.size(); ++b)
-                buckets_[b] += l.buckets_[b];
-            count_ += l.count_;
-            sum_ += l.sum_;
-            max_ = std::max(max_, l.max_);
-            l.reset();
-        }
     }
 
     std::uint64_t count() const { return count_; }
@@ -271,8 +97,6 @@ class Histogram
         count_ = 0;
         sum_ = 0;
         max_ = 0;
-        for (unsigned i = 0; i < laneCount_; ++i)
-            lanes_[i].reset();
     }
 
   private:
@@ -281,8 +105,6 @@ class Histogram
     std::uint64_t count_ = 0;
     double sum_ = 0;
     std::uint64_t max_ = 0;
-    std::unique_ptr<Histogram[]> lanes_; ///< per-domain partials
-    unsigned laneCount_ = 0;
 };
 
 /** Unit/description metadata attached to a stat at registration. */
@@ -316,74 +138,10 @@ struct StatsTimeSeries
 class StatsRegistry
 {
   public:
-    StatsRegistry() = default;
-
-    /** Snapshot copy (RunMetrics): stat copies fold their lanes, and the
-     *  snapshot starts unlaned — it is read, not accumulated into. The
-     *  creation mutex itself is not copied. */
-    StatsRegistry(const StatsRegistry &o)
-        : counters_(o.counters_), histograms_(o.histograms_),
-          meta_(o.meta_), timeseries_(o.timeseries_)
-    {
-    }
-
-    StatsRegistry &
-    operator=(const StatsRegistry &o)
-    {
-        if (this != &o) {
-            counters_ = o.counters_;
-            histograms_ = o.histograms_;
-            meta_ = o.meta_;
-            timeseries_ = o.timeseries_;
-            laneCount_ = 1;
-        }
-        return *this;
-    }
-
-    /**
-     * Decomposed-run mode: give every stat @p n per-domain lanes so
-     * shard workers accumulate without sharing cache lines. Call before
-     * components register their stats (System does, in its constructor);
-     * stats created later are laned on creation. mergeLanes() folds the
-     * partials back after the run.
-     */
-    void
-    enableLanes(unsigned n)
-    {
-        if (n <= 1)
-            return;
-        laneCount_ = n;
-        for (auto &kv : counters_)
-            kv.second.enableLanes(n);
-        for (auto &kv : histograms_)
-            kv.second.enableLanes(n);
-    }
-
-    unsigned laneCount() const { return laneCount_; }
-
-    /** Fold every stat's lane partials (post-run, single-threaded). */
-    void
-    mergeLanes()
-    {
-        for (auto &kv : counters_)
-            kv.second.mergeLanes();
-        for (auto &kv : histograms_)
-            kv.second.mergeLanes();
-    }
-
     Counter &
     counter(const std::string &name)
     {
-        // Creation is the only cross-domain hazard: most stats are made
-        // at construction, but phase-scoped counters materialize lazily
-        // mid-run from whichever domain first touches the phase. Node
-        // references stay valid forever, so only the insert needs the
-        // lock — increments go through the lock-free lanes.
-        std::lock_guard<std::mutex> g(createMu_);
-        Counter &c = counters_[name];
-        if (laneCount_ > 1)
-            c.enableLanes(laneCount_);
-        return c;
+        return counters_[name];
     }
 
     /** Create/find @p name, attaching unit/description metadata. */
@@ -418,11 +176,7 @@ class StatsRegistry
     Histogram &
     histogram(const std::string &name)
     {
-        std::lock_guard<std::mutex> g(createMu_);
-        Histogram &h = histograms_[name];
-        if (laneCount_ > 1)
-            h.enableLanes(laneCount_);
-        return h;
+        return histograms_[name];
     }
 
     /**
@@ -437,7 +191,6 @@ class StatsRegistry
     {
         if (!unit.empty() || !desc.empty())
             setMeta(name, unit, desc);
-        std::lock_guard<std::mutex> g(createMu_);
         auto it = histograms_.find(name);
         if (it == histograms_.end()) {
             it = histograms_
@@ -453,8 +206,6 @@ class StatsRegistry
                      it->second.numBuckets(),
                      (unsigned long long)it->second.bucketWidth());
         }
-        if (laneCount_ > 1)
-            it->second.enableLanes(laneCount_);
         return it->second;
     }
 
@@ -541,7 +292,6 @@ class StatsRegistry
     setMeta(const std::string &name, const std::string &unit,
             const std::string &desc)
     {
-        std::lock_guard<std::mutex> g(createMu_);
         StatMeta &m = meta_[name];
         if (m.unit.empty())
             m.unit = unit;
@@ -553,8 +303,6 @@ class StatsRegistry
     std::map<std::string, Histogram> histograms_;
     std::map<std::string, StatMeta> meta_;
     StatsTimeSeries timeseries_;
-    unsigned laneCount_ = 1; ///< > 1 only in decomposed runs
-    mutable std::mutex createMu_; ///< guards map inserts, not updates
 };
 
 namespace json

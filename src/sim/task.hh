@@ -259,10 +259,8 @@ spawn(Task<> task, std::function<void()> on_done)
 
 /**
  * Awaitable that delays the coroutine by @p delta ticks. The resumption
- * is scheduled on the execution context's queue (homeQueue): a memory
- * transaction that has walked to a remote tile keeps running there, on
- * that domain's queue, even though the awaiter was built with the
- * component's construction-time queue reference.
+ * keeps the current execution stream: a memory transaction that has
+ * walked to a remote tile keeps running there.
  */
 struct Delay
 {
@@ -275,7 +273,7 @@ struct Delay
     void
     await_suspend(std::coroutine_handle<> h) const
     {
-        homeQueue(eq).schedule(delta, [h]() { h.resume(); }, prio);
+        eq.schedule(delta, [h]() { h.resume(); }, prio);
     }
 
     void await_resume() const noexcept {}
@@ -305,7 +303,7 @@ class Completion
         value_ = std::move(value);
         if (waiter_) {
             auto w = waiter_;
-            homeQueue(eq_).schedule(delta, [w]() { w.resume(); });
+            eq_.schedule(delta, [w]() { w.resume(); });
         } else {
             completionDelta_ = delta;
         }
@@ -327,8 +325,8 @@ class Completion
                          "Completion awaited twice");
                 c.waiter_ = h;
                 if (c.completed_) {
-                    homeQueue(c.eq_).schedule(c.completionDelta_,
-                                              [h]() { h.resume(); });
+                    c.eq_.schedule(c.completionDelta_,
+                                   [h]() { h.resume(); });
                 }
             }
 
@@ -347,11 +345,9 @@ class Completion
 
 /**
  * Join counter: a coroutine awaits wait() until all added work items have
- * called done(). Work is added with add() before the await. Like
- * Semaphore below, the counter mutates on whichever queue calls done(),
- * so adders, finishers and the waiter must share one domain.
+ * called done(). Work is added with add() before the await. The waiter
+ * resumes on the stream of whichever event calls the last done().
  */
-// takolint: domain-local
 class Join
 {
   public:
@@ -369,7 +365,7 @@ class Join
         --outstanding_;
         if (outstanding_ == 0 && waiter_) {
             auto w = std::exchange(waiter_, {});
-            homeQueue(eq_).schedule(0, [w]() { w.resume(); });
+            eq_.schedule(0, [w]() { w.resume(); });
         }
     }
 
@@ -423,16 +419,13 @@ class Join
  * Counting semaphore with FIFO coroutine waiters; completions are
  * scheduled through the event queue for determinism.
  *
- * Domain-local only: release() resumes the oldest waiter on the
- * *releaser's* queue, so under a decomposed run (--shards > 1) the
- * waiter's continuation would execute in the releaser's domain and any
- * work it then does at its own tile trips the cross-domain lookahead
- * panic. Every model use (engine ports, MSHR/WB entries, core windows)
- * keeps acquirers and releasers on one tile; cross-tile guest
- * synchronization wants workloads' SimBarrier, which routes wakeups
- * back to each waiter's tile through the domain router.
+ * Tile-local by use: release() resumes the oldest waiter on the
+ * *releaser's* execution stream, so the waiter continues at the
+ * releaser's tile. Every model use (engine ports, MSHR/WB entries, core
+ * windows) keeps acquirers and releasers on one tile; cross-tile guest
+ * synchronization uses workloads' SimBarrier, which posts each wakeup
+ * back to its waiter's tile.
  */
-// takolint: domain-local
 class Semaphore
 {
   public:
@@ -476,7 +469,7 @@ class Semaphore
             // Hand the slot directly to the oldest waiter.
             auto h = waiters_.front();
             waiters_.erase(waiters_.begin());
-            homeQueue(eq_).schedule(0, [h]() { h.resume(); });
+            eq_.schedule(0, [h]() { h.resume(); });
         } else {
             ++count_;
         }

@@ -1,10 +1,5 @@
 #include "system/system.hh"
 
-#include <cmath>
-#include <optional>
-
-#include "sim/tracesink.hh"
-
 namespace tako
 {
 
@@ -33,44 +28,28 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
              "mesh %ux%u does not cover %u tiles", config_.mesh.dimX,
              config_.mesh.dimY, config_.mem.tiles);
 
-    // Stand up the shard-domain router before any component exists:
-    // every run is decomposed over the plan's column partition (one
-    // degenerate domain when shards == 1), so the exact same keyed
-    // scheduling code executes at every shard count.
-    plan_ = ShardPlan::build(config_.mesh.dimX, config_.mesh.dimY,
-                             config_.mesh.routerDelay,
-                             config_.mesh.linkDelay, config_.shards);
-    config_.shards = plan_.shards; // reflect the [1, dimX] clamp
-    std::vector<EventQueue *> queues{&eq_};
-    for (unsigned s = 1; s < plan_.shards; ++s) {
-        shardQueues_.push_back(std::make_unique<EventQueue>());
-        queues.push_back(shardQueues_.back().get());
-    }
-    dom_.init(plan_, std::move(queues));
-    // Per-domain stat lanes must exist before components cache handles.
-    stats_.enableLanes(plan_.shards);
+    fatal_if(config_.shards > 1,
+             "SystemConfig::shards is %u: a simulation runs on one event "
+             "queue; run replicas concurrently instead (takosim "
+             "--replicate with --shards as the lane count)",
+             config_.shards);
+    // Key every event by its sending tile's stream before any component
+    // schedules: the same-tick order the goldens encode.
+    eq_.enableStreamKeys(config_.mem.tiles);
 
     energy_ = std::make_unique<EnergyModel>(stats_, config_.energy);
     noc_ = std::make_unique<Mesh>(config_.mesh, stats_, *energy_);
-    mem_ = std::make_unique<MemorySystem>(config_.mem, dom_, eq_, stats_,
+    mem_ = std::make_unique<MemorySystem>(config_.mem, eq_, stats_,
                                           *energy_, *noc_);
-    registry_ = std::make_unique<MorphRegistry>(*mem_, dom_, eq_);
+    registry_ = std::make_unique<MorphRegistry>(*mem_, eq_);
     engines_ = std::make_unique<EngineCluster>(config_.mem.tiles,
-                                               config_.engine, *mem_, dom_,
-                                               eq_, stats_, *energy_);
+                                               config_.engine, *mem_, eq_,
+                                               stats_, *energy_);
     mem_->setCallbackSink(engines_.get());
-    if (config_.accessTracer) {
-        // The tracer is one host-side consumer fed from every tile; with
-        // the model decomposed over worker threads it would race.
-        fatal_if(plan_.shards > 1,
-                 "access tracing requires a monolithic run (--shards=1)");
+    if (config_.accessTracer)
         mem_->setAccessTracer(config_.accessTracer);
-    }
 
     if (config_.profile) {
-        fatal_if(plan_.shards > 1,
-                 "takoprof requires a monolithic run (--shards=1): the "
-                 "profiler aggregates into shared tables");
         prof::ProfilerConfig pc;
         pc.tiles = config_.mem.tiles;
         pc.l1Lines = config_.mem.l1Size / lineBytes;
@@ -102,8 +81,8 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
 
     // Last: every component above has registered its counters, so an
     // empty pattern list ("sample everything") sees all of them. The
-    // post-run namespaces (host.*, shard.*) are not registered yet and
-    // so can never enter the sampled series.
+    // post-run host.* namespace is not registered yet and so can never
+    // enter the sampled series.
     if (config_.sampleInterval > 0 || config_.progressEvery > 0) {
         mon::TimeSeriesSink::Options mo;
         mo.sampleEvery = config_.sampleInterval;
@@ -112,7 +91,7 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
         mo.progressEvery = config_.progressEvery;
         mo.onBeat = config_.onBeat;
         monitor_ = std::make_unique<mon::TimeSeriesSink>(
-            dom_.queues(), stats_, std::move(mo));
+            eq_, stats_, std::move(mo));
     } else {
         fatal_if(!config_.monPath.empty(),
                  "a takomon output file needs a sampling interval");
@@ -130,11 +109,9 @@ System::bootGuests()
 {
     // One keyed post per queued guest, in addThread order, onto the
     // owning core's tile. The posts draw system-stream (0) keys before
-    // any event has run, so the bootstrap order is identical at every
-    // shard count — and each coroutine frame is created, driven, and
-    // destroyed in the domain that owns its core.
+    // any event has run, and each guest then runs on its core's stream.
     for (auto &[core, fn] : pending_) {
-        dom_.post(
+        eq_.post(
             core, 0,
             [this, c = core, f = std::move(fn)]() mutable {
                 cores_[c]->run(std::move(f));
@@ -162,132 +139,27 @@ System::postRunChecks() const
 Tick
 System::runFor(Tick limit)
 {
-    fatal_if(plan_.shards > 1,
-             "runFor (crash injection) requires a monolithic run "
-             "(--shards=1): a bounded window cannot cut a multi-domain "
-             "run at one consistent tick");
     const Tick start = eq_.now();
     const auto host_start = std::chrono::steady_clock::now();
     bootGuests();
     eq_.runUntil(start + limit);
-    finishRun(host_start, nullptr, false);
+    // runUntil leaves the last event's context published; a System built
+    // next on this thread would take it for a running event.
+    EventQueue::clearExecCtx();
+    finishRun(host_start, false);
     return eq_.now() - start;
 }
 
 void
 System::finishRun(std::chrono::steady_clock::time_point host_start,
-                  const ShardedExecutor *exec, bool drained)
+                  bool drained)
 {
-    // Order matters: the sink's tail rows read live lane partials, so
-    // the series merges before the stat lanes fold.
     fatal_if(monitor_ && !monitor_->finish(), "%s",
              monitor_->error().c_str());
-    stats_.mergeLanes();
-    stampShardStats(exec);
     stampHostStats(host_start);
     if (drained)
         postRunChecks();
     finalizeProfiler();
-}
-
-void
-System::stampShardStats(const ShardedExecutor *exec)
-{
-    // Deterministic sharded-execution observability. Everything under
-    // shard.* is a pure function of simulation state — CI diffs these
-    // counters between host thread counts at a fixed shard count. Only
-    // the barrier-stall gauge is host-timing-dependent, and it lives
-    // under host.* accordingly. Monolithic runs stamp the degenerate
-    // single-domain shape so benches always find the same extras.
-    const unsigned n = plan_.shards;
-    stats_
-        .counter("shard.domains", "",
-                 "event-queue domains in the sharded run (1 = monolithic)")
-        .set(n);
-    stats_
-        .counter("shard.quantum", "cycles",
-                 "conservative lookahead window between quantum barriers")
-        .set(exec ? static_cast<double>(plan_.quantum) : 0.0);
-    stats_
-        .counter("shard.boundary_links", "",
-                 "directed mesh links crossing a shard cut")
-        .set(plan_.boundaryLinks);
-    stats_
-        .counter("shard.rounds", "",
-                 "quantum rounds completed by the sharded executor")
-        .set(exec ? static_cast<double>(exec->rounds()) : 0.0);
-    stats_
-        .counter("shard.solo_rounds", "",
-                 "rounds where one busy domain ran free (skip-ahead)")
-        .set(exec ? static_cast<double>(exec->soloRounds()) : 0.0);
-    stats_
-        .counter("shard.cross_msgs", "events",
-                 "cross-shard events delivered through mailboxes")
-        .set(exec ? static_cast<double>(exec->crossShardEvents()) : 0.0);
-
-    std::uint64_t maxEvents = 0;
-    std::uint64_t totalEvents = 0;
-    for (unsigned s = 0; s < n; ++s) {
-        ShardedExecutor::DomainProfile prof;
-        std::uint64_t sent = 0;
-        if (exec) {
-            prof = exec->domainProfiles()[s];
-            sent = exec->eventsSent(s);
-        } else {
-            prof.executed = eq_.eventsFired();
-            prof.maxRoundEvents = eq_.eventsFired();
-        }
-        const std::string d = "shard.d" + std::to_string(s);
-        stats_
-            .counter(d + ".events", "events",
-                     "events this domain executed across all rounds")
-            .set(static_cast<double>(prof.executed));
-        stats_
-            .counter(d + ".max_round_events", "events",
-                     "events this domain executed in its busiest round")
-            .set(static_cast<double>(prof.maxRoundEvents));
-        stats_
-            .counter(d + ".idle_rounds", "",
-                     "lockstep rounds where this domain had no events")
-            .set(static_cast<double>(prof.idleRounds));
-        stats_
-            .counter(d + ".sent", "events",
-                     "cross-shard events this domain sent")
-            .set(static_cast<double>(sent));
-        stats_
-            .counter(d + ".received", "events",
-                     "cross-shard events delivered to this domain")
-            .set(static_cast<double>(prof.received));
-        stats_
-            .counter(d + ".max_inbox_depth", "events",
-                     "deepest single-mailbox drain this domain saw")
-            .set(static_cast<double>(prof.maxInboxDepth));
-        maxEvents = std::max(maxEvents, prof.executed);
-        totalEvents += prof.executed;
-    }
-
-    // Load-imbalance report: how unevenly the executed events spread
-    // over domains. 1.0 = perfectly balanced; N = one domain did all
-    // the work of N.
-    const double mean = static_cast<double>(totalEvents) / n;
-    stats_
-        .counter("shard.events_max", "events",
-                 "events executed by the busiest domain")
-        .set(static_cast<double>(maxEvents));
-    stats_
-        .counter("shard.events_mean", "events",
-                 "mean events executed per domain")
-        .set(mean);
-    stats_
-        .counter("shard.load_imbalance", "",
-                 "busiest domain / mean events per domain")
-        .set(mean > 0 ? static_cast<double>(maxEvents) / mean : 0.0);
-
-    stats_
-        .counter("host.shard.barrier_wait_seconds", "s",
-                 "host time workers spent parked at quantum barriers "
-                 "(host-timing-dependent; determinism-exempt)")
-        .set(exec ? exec->barrierWaitSeconds() : 0.0);
 }
 
 void
@@ -303,9 +175,7 @@ System::stampHostStats(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       host_start)
             .count();
-    double events = 0;
-    for (const EventQueue *q : dom_.queues())
-        events += static_cast<double>(q->eventsFired());
+    const double events = static_cast<double>(eq_.eventsFired());
     stats_
         .counter("host.seconds", "s",
                  "host wall-clock time spent inside run()/runFor()")
@@ -338,34 +208,12 @@ System::finalizeProfiler()
 Tick
 System::run()
 {
-    fatal_if(plan_.shards > 1 && trace::spanSink() != nullptr,
-             "span tracing writes one shared trace file; record spans "
-             "with --shards=1");
     const Tick start = eq_.now();
     const auto host_start = std::chrono::steady_clock::now();
     bootGuests();
-
-    // One domain drains its queue directly. Several drain their own
-    // queues under quantum barriers, and the Domains router carries
-    // every cross-domain edge through the executor's keyed mailboxes
-    // while it is installed.
-    std::optional<ShardedExecutor> exec;
-    if (plan_.shards == 1) {
-        eq_.run();
-    } else {
-        exec.emplace(dom_.queues(), plan_.quantum);
-        dom_.setExecutor(&*exec);
-        exec->run();
-        dom_.setExecutor(nullptr);
-    }
-    finishRun(host_start, exec ? &*exec : nullptr, true);
-
-    // The run ends at the globally-last event, wherever it executed —
-    // the same tick at every shard count.
-    Tick end = start;
-    for (const EventQueue *q : dom_.queues())
-        end = std::max(end, q->now());
-    return end - start;
+    eq_.run();
+    finishRun(host_start, true);
+    return eq_.now() - start;
 }
 
 } // namespace tako

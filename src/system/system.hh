@@ -19,10 +19,8 @@
 #include "mon/sink.hh"
 #include "noc/mesh.hh"
 #include "prof/profiler.hh"
-#include "sim/domains.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "tako/engine.hh"
 #include "tako/registry.hh"
@@ -58,7 +56,7 @@ struct SystemConfig
     /** takomon-v1 binary telemetry output path (empty disables).
      *  Requires sampleInterval > 0; the file holds the same rows as the
      *  in-memory time series and is bit-identical across host thread
-     *  counts and shard counts (CI gates on it). */
+     *  counts (CI gates on it). */
     std::string monPath;
 
     /** Progress heartbeat cadence in cycles (0 disables). Beats fire at
@@ -68,11 +66,10 @@ struct SystemConfig
     std::function<void(const mon::ProgressBeat &)> onBeat;
 
     /**
-     * Shard the run across a ShardPlan partition (1 = monolithic,
-     * today's behavior). run() then executes on a sharded conservative
-     * executor whose quantum derives from the mesh's minimum cross-
-     * shard latency; every non-host.* stat is bit-identical to the
-     * monolithic run (CI gates on it). Clamped to the mesh's columns.
+     * Must be 1: a simulation runs on one event queue. Host parallelism
+     * comes from ensembles (takosim --replicate runs whole replicas on
+     * concurrent lanes). System fails loudly on any other value; the
+     * field is still written by takoperf's phi-sharded workload.
      */
     unsigned shards = 1;
 
@@ -91,8 +88,6 @@ class System
 
     const SystemConfig &config() const { return config_; }
     EventQueue &eq() { return eq_; }
-    Domains &domains() { return dom_; }
-    const ShardPlan &shardPlan() const { return plan_; }
     StatsRegistry &stats() { return stats_; }
     EnergyModel &energy() { return *energy_; }
     Mesh &noc() { return *noc_; }
@@ -107,13 +102,9 @@ class System
     void addThread(int core, std::function<Task<>(Guest &)> fn);
 
     /**
-     * Run to completion (every domain queue drains). The domain count
-     * picks the drain: one domain runs eq() directly; several run on a
-     * ShardedExecutor, each domain owning its tiles' model state and
-     * draining its own queue under quantum barriers, so every
-     * non-host.* stat is bit-identical to the monolithic run
-     * (DESIGN.md §4.6). Panics with diagnostics if guests are still
-     * blocked when no events remain (deadlock).
+     * Run to completion (the event queue drains). Panics with
+     * diagnostics if guests are still blocked when no events remain
+     * (deadlock).
      * @return simulated cycles elapsed.
      */
     Tick run();
@@ -137,9 +128,8 @@ class System
     mon::TimeSeriesSink *monitor() { return monitor_.get(); }
 
   private:
-    /** Stage the queued guest threads as per-tile bootstrap events (the
-     *  same keyed posts at every shard count, so coroutine frames are
-     *  created, driven, and destroyed in the owning domain). */
+    /** Stage the queued guest threads as per-tile bootstrap events, so
+     *  each guest runs on its core's tile stream. */
     void bootGuests();
 
     /** Post-run deadlock/leak checks after a full drain. */
@@ -152,33 +142,15 @@ class System
     void stampHostStats(std::chrono::steady_clock::time_point host_start);
 
     /**
-     * Register the deterministic shard.* execution/load-imbalance
-     * counters after a run. Registered post-run (like host.*) so the
-     * takomon series set — fixed at construction — never depends on the
-     * shard topology; the values themselves are deterministic and CI
-     * diffs them across host thread counts. @p exec is null for
-     * monolithic runs, which stamp the degenerate single-domain shape.
-     */
-    void stampShardStats(const ShardedExecutor *exec);
-
-    /**
      * The one run epilogue of run() and runFor(), in order: close the
-     * takomon sink (merging its per-domain rows; write errors are
-     * fatal), fold the stat lanes, stamp shard.* and host.*, check for
+     * takomon sink (write errors are fatal), stamp host.*, check for
      * deadlocks and leaks (@p drained runs only), finalize the profiler.
      */
     void finishRun(std::chrono::steady_clock::time_point host_start,
-                   const ShardedExecutor *exec, bool drained);
+                   bool drained);
 
     SystemConfig config_;
     EventQueue eq_;
-    /** Column partition of the mesh; degenerate (1 shard) when
-     *  config.shards == 1 — the same decomposed code runs either way. */
-    ShardPlan plan_;
-    /** Queues for shard domains 1..N-1 (domain 0 runs on eq_). */
-    std::vector<std::unique_ptr<EventQueue>> shardQueues_;
-    /** Tile-to-domain router; every component schedules through it. */
-    Domains dom_;
     StatsRegistry stats_;
     Rng rng_;
     std::unique_ptr<EnergyModel> energy_;

@@ -213,12 +213,11 @@ EngineCtx::interrupt(int core)
 // ---------------------------------------------------------------------
 
 Engine::Engine(int tile, const EngineParams &params, MemorySystem &mem,
-               Domains &dom, EventQueue &eq, StatsRegistry &stats,
-               EnergyModel &energy, EngineCluster &cluster)
+               EventQueue &eq, StatsRegistry &stats, EnergyModel &energy,
+               EngineCluster &cluster)
     : tile_(tile),
       params_(params),
       mem_(mem),
-      dom_(dom),
       eq_(eq),
       stats_(stats),
       energy_(energy),
@@ -319,9 +318,8 @@ void
 Engine::raiseInterrupt(int core, Addr line)
 {
     // Delivery mutates the target core's pending-interrupt state, so the
-    // event must execute in the core's domain. interruptLat covers the
-    // cross-domain lookahead (checked at cluster construction).
-    dom_.post(core, params_.interruptLat, [this, core, line]() {
+    // event executes at the core's tile.
+    eq_.post(core, params_.interruptLat, [this, core, line]() {
         cluster_.deliverInterrupt(core, line);
     });
 }
@@ -389,7 +387,7 @@ Engine::trigger(CallbackKind kind, Addr line, const MorphBinding &binding,
 Task<>
 Engine::runCallback(Request req)
 {
-    const Tick enqueued = ctxNow(eq_);
+    const Tick enqueued = eq_.now();
     if (prof_)
         prof_->callbackEnqueued(tile_, enqueued);
 
@@ -403,14 +401,14 @@ Engine::runCallback(Request req)
     Tick admission_wait = 0;
     if (!priority_miss) {
         co_await bufferSlots_.acquire();
-        admission_wait = ctxNow(eq_) - enqueued;
+        admission_wait = eq_.now() - enqueued;
         bufferWait_->sample(admission_wait);
     }
 
     // Callbacks on the same address execute in arrival order.
-    Tick t0 = ctxNow(eq_);
+    Tick t0 = eq_.now();
     co_await addrOrder_.acquire(req.line);
-    const Tick addr_wait = ctxNow(eq_) - t0;
+    const Tick addr_wait = eq_.now() - t0;
 
     co_await Delay{eq_, params_.schedulerLat};
     Tick dispatch = params_.schedulerLat;
@@ -420,9 +418,9 @@ Engine::runCallback(Request req)
         co_await Delay{eq_, xlate};
 
     if (!priority_miss) {
-        t0 = ctxNow(eq_);
+        t0 = eq_.now();
         co_await fabricSlots_.acquire();
-        dispatch += ctxNow(eq_) - t0;
+        dispatch += eq_.now() - t0;
     }
 
     EngineCtx ctx(*this, *req.binding, req.kind, req.line, req.data,
@@ -433,15 +431,15 @@ Engine::runCallback(Request req)
             ? "onMiss"
             : (req.kind == CallbackKind::Writeback ? "onWriteback"
                                                    : "onEviction");
-    TRACE(Engine, ctxNow(eq_), "tile %d runs %s(%#llx) for '%s'", tile_,
+    TRACE(Engine, eq_.now(), "tile %d runs %s(%#llx) for '%s'", tile_,
           kind_name, (unsigned long long)req.line,
           morph.traits().name.c_str());
-    const Tick body_start = ctxNow(eq_);
+    const Tick body_start = eq_.now();
     switch (req.kind) {
       case CallbackKind::Miss:
         ++*cbMiss_;
         co_await morph.onMiss(ctx);
-        missLatency_->sample(ctxNow(eq_) - enqueued);
+        missLatency_->sample(eq_.now() - enqueued);
         break;
       case CallbackKind::Eviction:
         ++*cbEviction_;
@@ -452,7 +450,7 @@ Engine::runCallback(Request req)
         co_await morph.onWriteback(ctx);
         break;
     }
-    const Tick body = ctxNow(eq_) - body_start;
+    const Tick body = eq_.now() - body_start;
 
     if (!priority_miss) {
         fabricSlots_.release();
@@ -463,7 +461,7 @@ Engine::runCallback(Request req)
     hBdDispatch_->sample(dispatch);
     hBdXlate_->sample(xlate);
     hBdBody_->sample(body);
-    hBdTotal_->sample(ctxNow(eq_) - enqueued);
+    hBdTotal_->sample(eq_.now() - enqueued);
     if (prof_) {
         prof::CallbackRecord rec;
         rec.tile = tile_;
@@ -474,14 +472,14 @@ Engine::runCallback(Request req)
         rec.dispatch = dispatch;
         rec.xlate = xlate;
         rec.body = body;
-        rec.total = ctxNow(eq_) - enqueued;
-        prof_->callbackRetired(rec, ctxNow(eq_));
+        rec.total = eq_.now() - enqueued;
+        prof_->callbackRetired(rec, eq_.now());
     }
     if (trace::spanEnabled(trace::Flag::Engine)) {
         trace::ChromeTraceWriter &w = *trace::spanSink();
         w.ensureTrack(1, "engines", tile_, strprintf("tile%d", tile_));
         w.completeEvent(
-            "engine", kind_name, 1, tile_, enqueued, ctxNow(eq_) - enqueued,
+            "engine", kind_name, 1, tile_, enqueued, eq_.now() - enqueued,
             strprintf("{\"addr\":\"%#llx\",\"morph\":\"%s\","
                       "\"addr_wait\":%llu,\"dispatch\":%llu,"
                       "\"xlate\":%llu,\"body\":%llu}",
@@ -492,7 +490,7 @@ Engine::runCallback(Request req)
                       (unsigned long long)xlate,
                       (unsigned long long)body));
     }
-    TRACE(Engine, ctxNow(eq_), "tile %d retires callback on %#llx", tile_,
+    TRACE(Engine, eq_.now(), "tile %d retires callback on %#llx", tile_,
           (unsigned long long)req.line);
     req.done();
 }
@@ -502,21 +500,14 @@ Engine::runCallback(Request req)
 // ---------------------------------------------------------------------
 
 EngineCluster::EngineCluster(unsigned tiles, const EngineParams &params,
-                             MemorySystem &mem, Domains &dom,
-                             EventQueue &eq, StatsRegistry &stats,
-                             EnergyModel &energy)
+                             MemorySystem &mem, EventQueue &eq,
+                             StatsRegistry &stats, EnergyModel &energy)
     : params_(params)
 {
-    panic_if(dom.active() && params.interruptLat < dom.quantum(),
-             "interruptLat (%llu) below the shard lookahead quantum "
-             "(%llu): interrupts could not cross domains",
-             (unsigned long long)params.interruptLat,
-             (unsigned long long)dom.quantum());
     engines_.reserve(tiles);
     for (unsigned t = 0; t < tiles; ++t) {
         engines_.push_back(std::make_unique<Engine>(
-            static_cast<int>(t), params, mem, dom, eq, stats, energy,
-            *this));
+            static_cast<int>(t), params, mem, eq, stats, energy, *this));
     }
 }
 

@@ -33,7 +33,6 @@
 
 #include "mem/lock_table.hh"
 #include "mem/memory_system.hh"
-#include "sim/domains.hh"
 #include "tako/morph.hh"
 
 namespace tako
@@ -162,8 +161,8 @@ class Engine
 {
   public:
     Engine(int tile, const EngineParams &params, MemorySystem &mem,
-           Domains &dom, EventQueue &eq, StatsRegistry &stats,
-           EnergyModel &energy, EngineCluster &cluster);
+           EventQueue &eq, StatsRegistry &stats, EnergyModel &energy,
+           EngineCluster &cluster);
 
     int tile() const { return tile_; }
     const EngineParams &params() const { return params_; }
@@ -219,7 +218,6 @@ class Engine
     int tile_;
     EngineParams params_;
     MemorySystem &mem_;
-    Domains &dom_;
     EventQueue &eq_;
     StatsRegistry &stats_;
     EnergyModel &energy_;
@@ -267,8 +265,8 @@ class EngineCluster : public CallbackSink
     using InterruptHandler = std::function<void(int core, Addr line)>;
 
     EngineCluster(unsigned tiles, const EngineParams &params,
-                  MemorySystem &mem, Domains &dom, EventQueue &eq,
-                  StatsRegistry &stats, EnergyModel &energy);
+                  MemorySystem &mem, EventQueue &eq, StatsRegistry &stats,
+                  EnergyModel &energy);
 
     Engine &engine(int tile) { return *engines_[tile]; }
     const EngineParams &params() const { return params_; }

@@ -34,18 +34,17 @@ MorphRegistry::insert(Morph &morph, MorphLevel level, Addr base,
              "registration (only one Morph per address, Sec. 4.1)",
              t.name.c_str(), (unsigned long long)base,
              (unsigned long long)size);
-    // rTLB shootdown: one apply per tile, always `tiles` messages in the
-    // same stream order regardless of partition, each landing in its
-    // tile's domain one quantum out. The registration round trip
+    // rTLB shootdown: one apply per tile, each landing at its tile one
+    // hop out. The registration round trip
     // (registrationLat) covers this, so the caller never resumes before
     // every replica agrees.
-    for (unsigned tl = 0; tl < dom_.tiles(); ++tl) {
-        dom_.post(static_cast<int>(tl), dom_.quantum(),
-                  [this, tl, base, size, mb]() {
-                      TileView &v = views_[tl];
-                      v.map.insert(base, size, mb);
-                      ++v.gen;
-                  });
+    for (unsigned tl = 0; tl < views_.size(); ++tl) {
+        eq_.post(static_cast<int>(tl), mem_.hopDelay(),
+                 [this, tl, base, size, mb]() {
+                     TileView &v = views_[tl];
+                     v.map.insert(base, size, mb);
+                     ++v.gen;
+                 });
     }
     return mb;
 }
@@ -55,9 +54,9 @@ MorphRegistry::registerPhantom(Morph &morph, MorphLevel level,
                                std::uint64_t size, int tile)
 {
     fatal_if(size == 0, "empty phantom range");
-    const int home = dom_.ctxTile(0);
-    // Allocation and insertion are serialized at tile 0's domain.
-    co_await dom_.hopTo(0, dom_.quantum());
+    const int home = EventQueue::ctxTile(0);
+    // Allocation and insertion are serialized at tile 0.
+    co_await eq_.hopTo(0, mem_.hopDelay());
     // Page-align phantom ranges: huge pages are easy here because
     // phantom memory has no physical backing to fragment (Sec. 6).
     const std::uint64_t page = 2 * 1024 * 1024;
@@ -65,7 +64,7 @@ MorphRegistry::registerPhantom(Morph &morph, MorphLevel level,
     const Addr base = nextPhantom_;
     nextPhantom_ += len;
     const MorphBinding *mb = insert(morph, level, base, len, true, tile);
-    co_await dom_.hopTo(home, registrationLat);
+    co_await eq_.hopTo(home, registrationLat);
     co_return mb;
 }
 
@@ -81,10 +80,10 @@ MorphRegistry::registerReal(Morph &morph, MorphLevel level, Addr base,
                                   divCeil(base + size, lineBytes) *
                                           lineBytes -
                                       lineAlign(base));
-    const int home = dom_.ctxTile(0);
-    co_await dom_.hopTo(0, dom_.quantum());
+    const int home = EventQueue::ctxTile(0);
+    co_await eq_.hopTo(0, mem_.hopDelay());
     const MorphBinding *mb = insert(morph, level, base, size, false, tile);
-    co_await dom_.hopTo(home, registrationLat);
+    co_await eq_.hopTo(home, registrationLat);
     co_return mb;
 }
 
@@ -101,18 +100,17 @@ MorphRegistry::unregister(const MorphBinding *binding)
     panic_if(!binding, "unregister(nullptr)");
     const Addr base = binding->base;
     co_await mem_.flushMorphData(*binding);
-    const int home = dom_.ctxTile(0);
-    co_await dom_.hopTo(0, dom_.quantum());
+    const int home = EventQueue::ctxTile(0);
+    co_await eq_.hopTo(0, mem_.hopDelay());
     master_.erase(base);
-    for (unsigned tl = 0; tl < dom_.tiles(); ++tl) {
-        dom_.post(static_cast<int>(tl), dom_.quantum(),
-                  [this, tl, base]() {
-                      TileView &v = views_[tl];
-                      v.map.erase(base);
-                      ++v.gen;
-                  });
+    for (unsigned tl = 0; tl < views_.size(); ++tl) {
+        eq_.post(static_cast<int>(tl), mem_.hopDelay(), [this, tl, base]() {
+            TileView &v = views_[tl];
+            v.map.erase(base);
+            ++v.gen;
+        });
     }
-    co_await dom_.hopTo(home, registrationLat);
+    co_await eq_.hopTo(home, registrationLat);
     // Phantom ranges are bump-allocated and not recycled; a freed range
     // simply becomes unreachable (accesses to it panic).
 }

@@ -14,14 +14,12 @@
  * with callbacks (the Morph is still in effect) and then removes the
  * binding and de-allocates phantom ranges.
  *
- * Decomposition: like a hardware rTLB, the resolve tables are
- * replicated per tile. Master state (the authoritative interval map,
- * phantom bump allocator, id counter) is homed at tile 0's domain;
- * every mutation hops there, updates the master, and broadcasts one
- * apply message per tile — the same number of messages in the same
- * stream order at every shard count, so each tile's view changes at a
- * partition-invariant point in the merged event order. Lookups touch
- * only the executing tile's replica (no locks, no sharing).
+ * Like a hardware rTLB, the resolve tables are replicated per tile.
+ * Master state (the authoritative interval map, phantom bump allocator,
+ * id counter) is homed at tile 0; every mutation hops there, updates
+ * the master, and broadcasts one apply message per tile, so each
+ * tile's view changes at its own point in the event order. Lookups
+ * touch only the executing tile's replica.
  */
 
 #ifndef TAKO_TAKO_REGISTRY_HH
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "mem/memory_system.hh"
-#include "sim/domains.hh"
 #include "sim/interval_map.hh"
 #include "tako/morph.hh"
 
@@ -48,10 +45,10 @@ class MorphRegistry : public MorphResolver
     /** Cost of a register/unregister syscall + TLB shootdown. */
     static constexpr Tick registrationLat = 500;
 
-    MorphRegistry(MemorySystem &mem, Domains &dom, EventQueue &eq)
-        : mem_(mem), dom_(dom), eq_(eq), views_(dom.tiles())
+    MorphRegistry(MemorySystem &mem, EventQueue &eq)
+        : mem_(mem), eq_(eq), views_(mem.params().tiles)
     {
-        panic_if(registrationLat < 2 * dom_.quantum(),
+        panic_if(registrationLat < 2 * mem_.hopDelay(),
                  "registrationLat must cover the tile-0 round trip");
         mem_.setMorphResolver(this);
     }
@@ -103,7 +100,7 @@ class MorphRegistry : public MorphResolver
   private:
     /** One tile's rTLB replica; written only by apply messages executing
      *  at that tile, read only by events executing there. */
-    struct alignas(64) TileView
+    struct TileView
     {
         IntervalMap<const MorphBinding *> map;
         std::uint64_t gen = 0;
@@ -112,7 +109,7 @@ class MorphRegistry : public MorphResolver
     std::size_t
     viewIndex() const
     {
-        return static_cast<std::size_t>(dom_.ctxTile(0));
+        return static_cast<std::size_t>(EventQueue::ctxTile(0));
     }
 
     /** At tile 0: build the binding, update the master map, broadcast
@@ -121,7 +118,6 @@ class MorphRegistry : public MorphResolver
                                std::uint64_t size, bool phantom, int tile);
 
     MemorySystem &mem_;
-    Domains &dom_;
     EventQueue &eq_;
 
     // Master state: touched only by events executing at tile 0.
@@ -129,8 +125,8 @@ class MorphRegistry : public MorphResolver
     Addr nextPhantom_ = phantomBase;
     std::uint32_t nextId_ = 1;
 
-    /** Binding storage; std::deque so pointers stay stable while other
-     *  domains read bindings published through their replicas. */
+    /** Binding storage; std::deque so pointers stay stable while the
+     *  tiles read bindings published through their replicas. */
     std::deque<MorphBinding> storage_;
 
     std::vector<TileView> views_;

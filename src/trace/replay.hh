@@ -9,7 +9,7 @@
  * stream batches runs of same-op records into multi-ops (bounded MLP,
  * like the hand-written workloads), and records wider than one word are
  * expanded to one access per touched cache line. Non-host metrics are
- * therefore bit-identical across -j1/-j8 and --shards (CI gates on it).
+ * therefore bit-identical across -j1/-j8 (CI gates on it).
  */
 
 #ifndef TAKO_TRACE_REPLAY_HH

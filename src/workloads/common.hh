@@ -54,25 +54,19 @@ class Arena
  * Reusable barrier for multi-threaded workload phases. All participants
  * must arrive before any proceeds; the barrier then resets itself.
  *
- * Partition-safe by construction: barrier state changes only inside
- * events at a fixed anchor tile. Each arriver posts an "arrived"
- * message to the anchor through the domain router (one quantum out, the
- * cross-domain minimum), where arrivals merge in the partition-invariant
- * (tick, priority, key) total order; the arrival that completes the
- * rendezvous releases every waiter by posting the resume back to its own
- * tile, another quantum out. Counting arrivals in the awaiter directly
- * would mutate shared host state from concurrently-executing domains —
- * a data race — and even run-to-run-stable arrival order is
- * domain-major, not the merged event order, so the release's key draws
- * (and with them every downstream tie-break) would depend on the
- * partition. The two-quantum round trip is a function of the NoC config
- * alone, so a sharded run times exactly like a monolithic one.
+ * Barrier state changes only inside events at a fixed anchor tile. Each
+ * arriver posts an "arrived" message to the anchor one NoC hop out, and
+ * the arrival that completes the rendezvous releases every waiter by
+ * posting the resume back to its own tile, another hop out. The funnel's
+ * key draws and two-hop round trip fix where the barrier's wakeups fall
+ * in the same-tick order, which the goldens encode (DESIGN.md §4.1).
  */
 class SimBarrier
 {
   public:
     SimBarrier(System &sys, unsigned participants)
-        : dom_(sys.domains()), participants_(participants)
+        : eq_(sys.eq()), hopDelay_(sys.noc().hopDelay()),
+          participants_(participants)
     {
     }
 
@@ -88,10 +82,9 @@ class SimBarrier
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                Domains &dom = bar.dom_;
-                const int tile = dom.ctxTile();
-                dom.post(kAnchorTile, dom.quantum(),
-                         [b = &bar, tile, h]() { b->arrived(tile, h); });
+                const int tile = EventQueue::ctxTile();
+                bar.eq_.post(kAnchorTile, bar.hopDelay_,
+                             [b = &bar, tile, h]() { b->arrived(tile, h); });
             }
 
             void await_resume() const noexcept {}
@@ -112,10 +105,11 @@ class SimBarrier
         const auto batch = std::move(waiters_);
         waiters_.clear();
         for (const auto &[t, wh] : batch)
-            dom_.post(t, dom_.quantum(), [wh]() { wh.resume(); });
+            eq_.post(t, hopDelay_, [wh]() { wh.resume(); });
     }
 
-    Domains &dom_;
+    EventQueue &eq_;
+    Tick hopDelay_;
     unsigned participants_;
     std::vector<std::pair<int, std::coroutine_handle<>>> waiters_;
 };

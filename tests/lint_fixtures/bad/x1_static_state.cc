@@ -1,6 +1,7 @@
 // Seeded X1 violations: static-duration mutable state in model code.
-// Under sharded execution these are written by several host threads at
-// once, outside the mailbox API — a data race and a determinism leak.
+// Ensemble replicas run concurrently in one process, so these would be
+// written by several host threads at once — a data race and a leak of
+// one replica's state into another.
 #include <cstdint>
 #include <map>
 #include <vector>

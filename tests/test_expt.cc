@@ -11,7 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
+#include <vector>
 
 #include <cerrno>
 
@@ -586,6 +589,21 @@ siblingTakosim()
     return ::access(candidate.c_str(), X_OK) == 0 ? candidate : "";
 }
 
+/** Counters and histogram fields of a takosim --stats-json file, minus
+ *  the wall-clock host.* gauges. */
+std::map<std::string, double>
+simulatedMetrics(const std::string &path)
+{
+    std::string err;
+    const Json doc = Json::parseFile(path, &err);
+    EXPECT_TRUE(err.empty()) << err;
+    auto m = extractMetrics(doc);
+    std::erase_if(m, [](const auto &kv) {
+        return kv.first.rfind("host.", 0) == 0;
+    });
+    return m;
+}
+
 TEST(ExptEndToEnd, SameSpecSameSeedIdenticalMetricsAcrossJobLevels)
 {
     const std::string takosim = siblingTakosim();
@@ -618,28 +636,69 @@ TEST(ExptEndToEnd, SameSpecSameSeedIdenticalMetricsAcrossJobLevels)
             << "run " << j1[i].name << " failed";
         ASSERT_EQ(j8[i].status, RunStatus::Ok)
             << "run " << j8[i].name << " failed";
-        std::string e1, e2;
-        Json a = Json::parseFile(j1_cmds[i].outputJson, &e1);
-        Json b = Json::parseFile(j8_cmds[i].outputJson, &e2);
-        ASSERT_TRUE(e1.empty() && e2.empty()) << e1 << e2;
         // Byte-identical metric extraction: parallel fan-out must not
         // perturb the (single-process, seeded) simulations. host.*
         // gauges are wall-clock-derived and exempt by contract.
-        auto ma = extractMetrics(a);
-        auto mb = extractMetrics(b);
-        auto dropHost = [](std::map<std::string, double> &m) {
-            for (auto it = m.begin(); it != m.end();) {
-                if (it->first.rfind("host.", 0) == 0)
-                    it = m.erase(it);
-                else
-                    ++it;
-            }
-        };
-        dropHost(ma);
-        dropHost(mb);
+        const auto ma = simulatedMetrics(j1_cmds[i].outputJson);
+        const auto mb = simulatedMetrics(j8_cmds[i].outputJson);
         EXPECT_EQ(ma, mb);
         EXPECT_FALSE(ma.empty());
     }
+}
+
+TEST(ExptEndToEnd, EnsembleIsIdenticalAtEveryLaneCount)
+{
+    const std::string takosim = siblingTakosim();
+    if (takosim.empty())
+        GTEST_SKIP() << "takosim binary not found next to tests";
+
+    // Three replicas on one lane and on three concurrent lanes, plus the
+    // plain run replica 0 must reproduce, plus a bare --shards=3.
+    const std::string scratch = makeScratch();
+    auto cmd = [&](const std::string &name,
+                   std::vector<std::string> extra) {
+        RunCommand c;
+        c.name = name;
+        c.outputJson = scratch + "/" + name + ".json";
+        c.logPath = scratch + "/" + name + ".log";
+        c.timeoutSec = 120;
+        c.retries = 0;
+        c.argv = {takosim, "--workload=decompress", "--variant=tako",
+                  "--stats-json=" + c.outputJson};
+        c.argv.insert(c.argv.end(), extra.begin(), extra.end());
+        return c;
+    };
+    std::vector<RunCommand> cmds = {
+        cmd("lanes1", {"--replicate=3", "--shards=1"}),
+        cmd("lanes3", {"--replicate=3", "--shards=3"}),
+        cmd("single", {}),
+        cmd("shards_alone", {"--shards=3"}),
+    };
+    const auto out = runAll(cmds, 2);
+    for (std::size_t i = 0; i < 3; ++i)
+        ASSERT_EQ(out[i].status, RunStatus::Ok) << out[i].name;
+
+    const auto one = simulatedMetrics(cmds[0].outputJson);
+    const auto three = simulatedMetrics(cmds[1].outputJson);
+    EXPECT_EQ(one, three);
+    EXPECT_EQ(one.at("ens.replicas"), 3.0);
+    EXPECT_GT(one.at("ens.cycles.total"), one.at("ens.cycles.max"));
+
+    // Replica 0 is the plain run at the base seed.
+    auto replica0 = one;
+    std::erase_if(replica0, [](const auto &kv) {
+        return kv.first.rfind("ens.", 0) == 0;
+    });
+    EXPECT_EQ(replica0, simulatedMetrics(cmds[2].outputJson));
+
+    // Without --replicate there are no lanes to count: a diagnostic,
+    // not a silently single-threaded run.
+    EXPECT_EQ(out[3].status, RunStatus::Failed);
+    EXPECT_EQ(out[3].exitCode, 2);
+    std::ifstream log(cmds[3].logPath);
+    const std::string text((std::istreambuf_iterator<char>(log)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("--replicate"), std::string::npos) << text;
 }
 
 } // namespace

@@ -247,160 +247,6 @@ TEST(Rules, RuleFilterRestrictsChecking)
     EXPECT_TRUE(r.findings.empty());
 }
 
-TEST(FlowRules, X2FlagsForeignQueueScheduleViaTrackedBinding)
-{
-    auto r = lintSnippet(
-        "void f(Domains &dom, Tick when) {\n"
-        "  EventQueue &fq = dom.queueOf(3);\n"
-        "  fq.schedule(when, []() {});\n"
-        "}\n");
-    EXPECT_EQ(activeRules(r), std::set<std::string>{"X2"});
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].line, 3);
-    // The trace names the foreign-queue source.
-    ASSERT_GE(r.findings[0].trace.size(), 2u);
-    EXPECT_EQ(r.findings[0].trace[0].line, 2);
-}
-
-TEST(FlowRules, X2IgnoresHomeQueueAndRoutedPosts)
-{
-    auto r = lintSnippet(
-        "void f(Domains &dom, EventQueue &eq, Tick when) {\n"
-        "  homeQueue(eq).schedule(when, []() {});\n"
-        "  dom.post(3, when, []() {});\n"
-        "}\n");
-    EXPECT_FALSE(activeRules(r).count("X2"));
-}
-
-TEST(FlowRules, H1TraceNamesTheSuspensionPoint)
-{
-    auto r = lintSnippet(
-        "Task<> f(Domains &dom, Bank **banks, int tile, int bank) {\n"
-        "  Bank &b = *banks[bank];\n"
-        "  co_await dom.hopTo(bank);\n"
-        "  b.touch();\n"
-        "}\n");
-    EXPECT_EQ(activeRules(r), std::set<std::string>{"H1"});
-    ASSERT_EQ(r.findings.size(), 1u);
-    const auto &f = r.findings[0];
-    EXPECT_EQ(f.line, 4);
-    ASSERT_EQ(f.trace.size(), 3u);
-    EXPECT_EQ(f.trace[0].line, 2); // binding
-    EXPECT_EQ(f.trace[1].line, 3); // suspension point
-    EXPECT_NE(f.trace[1].note.find("hopTo"), std::string::npos);
-    EXPECT_EQ(f.trace[2].line, 4); // stale use
-}
-
-TEST(FlowRules, H1KillsTaintOnRebindAndLoopRebind)
-{
-    auto clean = lintSnippet(
-        "Task<> f(Domains &dom, Bank **banks, int bank) {\n"
-        "  co_await dom.hopTo(bank);\n"
-        "  Bank &b = *banks[bank];\n"
-        "  b.touch();\n"
-        "}\n");
-    EXPECT_TRUE(activeRules(clean).empty());
-
-    // A reference re-bound at the top of each loop iteration is clean
-    // even though the body ends in a hop: the back-edge must see the
-    // kill.
-    auto loop = lintSnippet(
-        "Task<> f(Domains &dom, Bank **banks, int n) {\n"
-        "  for (int i = 0; i < n; ++i) {\n"
-        "    Bank &b = *banks[i];\n"
-        "    b.touch();\n"
-        "    co_await dom.hopTo(i);\n"
-        "  }\n"
-        "}\n");
-    EXPECT_TRUE(activeRules(loop).empty());
-}
-
-TEST(FlowRules, C1FlagsAnnotatedObjectCapturedIntoCrossDomainPost)
-{
-    auto r = lintSnippet(
-        "// takolint: domain-local\n"
-        "struct Sem { void release(); };\n"
-        "void f(Domains &dom, Sem &sem, int bank) {\n"
-        "  dom.post(bank, 8, [&sem]() { sem.release(); });\n"
-        "}\n");
-    EXPECT_EQ(activeRules(r), std::set<std::string>{"C1"});
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].line, 4);
-    EXPECT_FALSE(r.findings[0].trace.empty());
-}
-
-TEST(FlowRules, L3FlagsStackAddressEscapingIntoDeferredCallable)
-{
-    auto r = lintSnippet("void f(Domains &dom, int tile) {\n"
-                         "  int n = 0;\n"
-                         "  dom.post(tile, 8, [p = &n]() { *p = 1; });\n"
-                         "}\n");
-    EXPECT_EQ(activeRules(r), std::set<std::string>{"L3"});
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].line, 3);
-}
-
-TEST(FlowRules, L3IgnoresValueCapturesAndMemberPointers)
-{
-    auto r = lintSnippet(
-        "struct A { long t_;\n"
-        "  void f(Domains &dom, int tile) {\n"
-        "    int n = 0;\n"
-        "    dom.post(tile, 8, [n]() { use(n); });\n"
-        "    dom.post(tile, 8, [p = &t_]() { *p = 1; });\n"
-        "  }\n"
-        "};\n");
-    EXPECT_TRUE(activeRules(r).empty());
-}
-
-TEST(FlowRules, SuppressionsApplyToFlowFindings)
-{
-    for (const char *src : {
-             // X2 on line 3, suppressed on line 2.
-             "void f(EventQueue **queues_, Tick w) {\n"
-             "  // takolint: ok(X2, reviewed)\n"
-             "  queues_[0]->scheduleKeyed(w, []() {}, 0, 1, 2);\n"
-             "}\n",
-             // H1 on line 4, suppressed same line.
-             "Task<> f(Domains &dom, Bank **banks, int bank) {\n"
-             "  Bank &b = *banks[bank];\n"
-             "  co_await dom.hopTo(bank);\n"
-             "  b.touch(); // takolint: ok(H1, reviewed)\n"
-             "}\n",
-             // C1 on line 4, suppressed on line 3.
-             "// takolint: domain-local\n"
-             "struct Sem2 { void release(); };\n"
-             "void g(Domains &dom, Sem2 &gate, int bank) {\n"
-             "  // takolint: ok(C1, reviewed)\n"
-             "  dom.post(bank, 8, [&gate]() { gate.release(); });\n"
-             "}\n",
-             // L3 on line 3, suppressed same line.
-             "void h(Domains &dom, int tile) {\n"
-             "  int n = 0;\n"
-             "  dom.post(tile, 8, [p = &n]() {}); // takolint: ok(L3, reviewed)\n"
-             "}\n",
-         }) {
-        auto r = lintSnippet(src);
-        EXPECT_EQ(r.activeCount(), 0) << src;
-        EXPECT_FALSE(r.findings.empty()) << src;
-        EXPECT_TRUE(r.unusedSuppressions.empty()) << src;
-    }
-}
-
-TEST(FlowRules, UnusedSuppressionsReportedForEveryFlowRule)
-{
-    auto r = lintSnippet("// takolint: ok(X2, nothing here)\n"
-                         "// takolint: ok(H1, nothing here)\n"
-                         "// takolint: ok(C1, nothing here)\n"
-                         "// takolint: ok(L3, nothing here)\n"
-                         "int x;\n");
-    ASSERT_EQ(r.unusedSuppressions.size(), 4u);
-    std::set<std::string> rules;
-    for (const auto &u : r.unusedSuppressions)
-        rules.insert(u.rule);
-    EXPECT_EQ(rules, (std::set<std::string>{"X2", "H1", "C1", "L3"}));
-}
-
 TEST(FlowRules, UnusedSuppressionsDedupedPerFileLineRule)
 {
     // Two comments on one line carrying the same (rule) suppression:
@@ -420,17 +266,6 @@ TEST(ModelPath, OnlyModelDirectoriesAreChecked)
     EXPECT_TRUE(takolint::isModelPath("src/tako/engine.cc"));
     EXPECT_FALSE(takolint::isModelPath("tools/takobench.cc"));
     EXPECT_FALSE(takolint::isModelPath("tests/test_sim.cc"));
-}
-
-TEST(ModelPath, PartitionScopeAddsWorkloadsAndSystem)
-{
-    // Flow rules run over everything that participates in the domain
-    // decomposition: model dirs plus src/workloads and src/system.
-    EXPECT_TRUE(takolint::isPartitionPath("src/sim/domains.hh"));
-    EXPECT_TRUE(takolint::isPartitionPath("src/workloads/common.hh"));
-    EXPECT_TRUE(takolint::isPartitionPath("/repo/src/system/system.cc"));
-    EXPECT_FALSE(takolint::isPartitionPath("tools/takobench.cc"));
-    EXPECT_FALSE(takolint::isPartitionPath("tests/test_sim.cc"));
 }
 
 /**
@@ -479,31 +314,7 @@ TEST_F(Fixtures, BadFilesProduceExactlyTheExpectedFindings)
     // Every rule must be exercised by the bad fixtures.
     EXPECT_EQ(activeRules(report),
               (std::set<std::string>{"D1", "D2", "L1", "L2", "S1",
-                                     "X1", "X2", "H1", "C1", "L3"}));
-}
-
-TEST_F(Fixtures, SeededHopViolationCarriesAFlowTrace)
-{
-    // The acceptance case: a by-ref capture used after hopTo must be
-    // caught with the right rule and line, and the finding's trace
-    // must name the suspension point.
-    Config cfg;
-    cfg.assumeModelCode = true;
-    auto report =
-        takolint::lintPaths({dir("bad") + "/h1_use_after_hop.cc"}, cfg);
-    int h1 = 0;
-    for (const auto &f : report.findings) {
-        if (f.rule != "H1")
-            continue;
-        ++h1;
-        ASSERT_EQ(f.trace.size(), 3u) << takolint::format(f);
-        EXPECT_NE(f.trace[1].note.find("hopTo"), std::string::npos)
-            << "trace must name the suspension point";
-        EXPECT_LT(f.trace[0].line, f.trace[1].line);
-        EXPECT_LT(f.trace[1].line, f.trace[2].line);
-        EXPECT_EQ(f.trace[2].line, f.line);
-    }
-    EXPECT_EQ(h1, 2); // the plain-reference and the by-ref-capture case
+                                     "X1"}));
 }
 
 TEST_F(Fixtures, OkFilesAreCleanAndSuppressionsAllUsed)

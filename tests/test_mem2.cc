@@ -163,6 +163,24 @@ TEST(System, RunForStopsEarly)
     EXPECT_FALSE(finished);
 }
 
+TEST(System, RunForCutLeavesNextSystemPristine)
+{
+    {
+        System cut(smallConfig());
+        cut.addThread(0, [](Guest &g) -> Task<> {
+            for (int i = 0; i < 100; ++i)
+                co_await g.load(0x100000 + Addr(i) * lineBytes);
+        });
+        cut.runFor(50);
+    }
+    // A System built after a crash cut on the same thread is pre-run:
+    // its constructor must not mistake the cut's last event for a live
+    // one (setPhase would broadcast instead of setting in place).
+    System next(smallConfig());
+    EXPECT_EQ(ctxQueue(), nullptr);
+    EXPECT_EQ(next.eq().pending(), 0u);
+}
+
 TEST(Engine, InorderSerializesConcurrentCallbacks)
 {
     // N concurrent phantom misses: the dataflow engine overlaps them,

@@ -3,21 +3,17 @@
  * takomon tests: writer/reader codec round-trips, loud failure on every
  * corruption class, TimeSeriesSink sampling and heartbeat determinism,
  * and the System-level contracts — telemetry cannot perturb the model,
- * takomon files are byte-identical across shard counts, and the shard.*
- * observability counters are bit-identical at any worker thread count.
+ * and a runFor cut closes the sink the same way run() does.
  *
- * Labeled `sanfast`: the reader mmaps files and the sharded profile
- * counters are written from real worker threads, so ASan/TSan coverage
- * is the point.
+ * Labeled `sanfast`: the reader mmaps files, so ASan coverage is the
+ * point.
  */
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +23,6 @@
 #include "mon/reader.hh"
 #include "mon/sink.hh"
 #include "mon/writer.hh"
-#include "sim/shard.hh"
 #include "system/system.hh"
 #include "workloads/decompress.hh"
 
@@ -78,15 +73,6 @@ load32(const std::vector<std::uint8_t> &b, std::size_t off)
            static_cast<std::uint32_t>(b[off + 1]) << 8 |
            static_cast<std::uint32_t>(b[off + 2]) << 16 |
            static_cast<std::uint32_t>(b[off + 3]) << 24;
-}
-
-void
-store32(std::vector<std::uint8_t> &b, std::size_t off, std::uint32_t v)
-{
-    b[off] = static_cast<std::uint8_t>(v);
-    b[off + 1] = static_cast<std::uint8_t>(v >> 8);
-    b[off + 2] = static_cast<std::uint8_t>(v >> 16);
-    b[off + 3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 /** Deterministic two-series sample set: one integral-valued column
@@ -368,7 +354,7 @@ TEST(TimeSeriesSink, TakomonFileMatchesInMemorySeries)
     TimeSeriesSink::Options opt;
     opt.sampleEvery = 10;
     opt.monPath = f.path();
-    TimeSeriesSink sink({&eq}, stats, opt);
+    TimeSeriesSink sink(eq, stats, opt);
 
     eq.schedule(7, [&] {
         c += 1;
@@ -428,7 +414,7 @@ TEST(TimeSeriesSink, HeartbeatsFireAtDeterministicTicks)
         beatEvents.push_back(b.events);
         EXPECT_LT(b.fractionDone, 0); // unknown unless provided
     };
-    TimeSeriesSink sink({&eq}, stats, opt);
+    TimeSeriesSink sink(eq, stats, opt);
     sink.setFractionDone(nullptr);
 
     for (Tick t = 1; t <= 34; ++t)
@@ -443,127 +429,6 @@ TEST(TimeSeriesSink, HeartbeatsFireAtDeterministicTicks)
     EXPECT_EQ(sink.samplesTaken(), 0u); // no series cadence requested
 }
 
-// ---- shard.* profile determinism --------------------------------------
-
-namespace
-{
-
-/**
- * Four-domain chain model on the raw executor: each domain runs a
- * self-rescheduling event chain of different lengths (load imbalance by
- * construction), mailing work to the next domain every third hop. All
- * profile fields must be a pure function of this structure, never of
- * the worker thread count. Domain d's events run on stream d + 1.
- */
-struct ChainModel
-{
-    static constexpr unsigned kDomains = 4;
-    static constexpr Tick kQuantum = 3;
-
-    StreamKeySource keys{kDomains + 1};
-    std::array<std::unique_ptr<EventQueue>, kDomains> queues;
-    std::unique_ptr<ShardedExecutor> exec;
-
-    explicit ChainModel(unsigned threads)
-    {
-        std::vector<EventQueue *> domains;
-        for (auto &q : queues) {
-            q = std::make_unique<EventQueue>();
-            q->setStreamKeys(&keys);
-            domains.push_back(q.get());
-        }
-        exec = std::make_unique<ShardedExecutor>(domains, kQuantum,
-                                                 threads);
-    }
-
-    void
-    hop(unsigned d, unsigned left)
-    {
-        if (left == 0)
-            return;
-        if (left % 3 == 0) {
-            const unsigned nxt = (d + 1) % kDomains;
-            exec->sendKeyed(d, nxt, queues[d]->now() + kQuantum,
-                            EventPriority::Default, keys.next(d + 1),
-                            nxt + 1,
-                            [this, nxt, left] { hop(nxt, left - 1); });
-            return;
-        }
-        queues[d]->schedule(1 + left % 5,
-                            [this, d, left] { hop(d, left - 1); });
-    }
-};
-
-struct ProfileSnap
-{
-    std::vector<ShardedExecutor::DomainProfile> profiles;
-    std::vector<std::uint64_t> sent;
-    std::uint64_t rounds = 0;
-    std::uint64_t soloRounds = 0;
-    std::uint64_t cross = 0;
-
-    bool
-    operator==(const ProfileSnap &o) const
-    {
-        if (rounds != o.rounds || soloRounds != o.soloRounds ||
-            cross != o.cross || sent != o.sent ||
-            profiles.size() != o.profiles.size())
-            return false;
-        for (std::size_t i = 0; i < profiles.size(); ++i) {
-            const auto &a = profiles[i];
-            const auto &b = o.profiles[i];
-            if (a.executed != b.executed ||
-                a.maxRoundEvents != b.maxRoundEvents ||
-                a.idleRounds != b.idleRounds ||
-                a.received != b.received ||
-                a.maxInboxDepth != b.maxInboxDepth)
-                return false;
-        }
-        return true;
-    }
-};
-
-ProfileSnap
-runChains(unsigned threads)
-{
-    ChainModel m(threads);
-    for (unsigned d = 0; d < ChainModel::kDomains; ++d) {
-        const unsigned len = 20 + d * 17; // deliberately unbalanced
-        m.queues[d]->scheduleKeyed(
-            d + 1, [&m, d, len] { m.hop(d, len); },
-            EventPriority::Default, m.keys.next(d + 1), d + 1);
-    }
-    m.exec->run();
-
-    ProfileSnap s;
-    s.profiles = m.exec->domainProfiles();
-    for (unsigned d = 0; d < ChainModel::kDomains; ++d)
-        s.sent.push_back(m.exec->eventsSent(d));
-    s.rounds = m.exec->rounds();
-    s.soloRounds = m.exec->soloRounds();
-    s.cross = m.exec->crossShardEvents();
-    return s;
-}
-
-} // namespace
-
-TEST(ShardProfile, BitIdenticalAtEveryThreadCount)
-{
-    const ProfileSnap ref = runChains(1);
-    // The model did real work and the profile saw it.
-    std::uint64_t executed = 0, received = 0;
-    for (const auto &p : ref.profiles)
-        executed += p.executed, received += p.received;
-    EXPECT_GT(executed, 0u);
-    EXPECT_GT(received, 0u);
-    EXPECT_EQ(received, ref.cross);
-
-    for (const unsigned threads : {2u, 4u}) {
-        const ProfileSnap got = runChains(threads);
-        EXPECT_TRUE(got == ref) << "threads=" << threads;
-    }
-}
-
 // ---- System-level contracts -------------------------------------------
 
 namespace
@@ -575,18 +440,15 @@ struct MonRunResult
     Tick cycles = 0;
     double energy = 0;
     double checksum = 0;
-    std::vector<std::uint8_t> monBytes;
 };
 
 MonRunResult
-runDecompressMon(unsigned shards, const std::string &monPath,
-                 Tick sampleEvery)
+runDecompressMon(const std::string &monPath, Tick sampleEvery)
 {
     SystemConfig cfg = SystemConfig::forCores(16);
     cfg.mem.l1Size = 2 * 1024;
     cfg.mem.l2Size = 8 * 1024;
     cfg.mem.l3BankSize = 32 * 1024;
-    cfg.shards = shards;
     cfg.sampleInterval = sampleEvery;
     cfg.monPath = monPath;
     DecompressConfig dc;
@@ -601,8 +463,6 @@ runDecompressMon(unsigned shards, const std::string &monPath,
     r.cycles = m.cycles;
     r.energy = m.energy;
     r.checksum = m.extra.at("checksum");
-    if (!monPath.empty())
-        r.monBytes = readAll(monPath);
     return r;
 }
 
@@ -611,8 +471,8 @@ runDecompressMon(unsigned shards, const std::string &monPath,
 TEST(MonSystem, TelemetryChangesNoModelMetric)
 {
     ScratchFile f("telemetry.takomon");
-    const MonRunResult off = runDecompressMon(1, "", 0);
-    const MonRunResult on = runDecompressMon(1, f.path(), 500);
+    const MonRunResult off = runDecompressMon("", 0);
+    const MonRunResult on = runDecompressMon(f.path(), 500);
 
     EXPECT_EQ(on.cycles, off.cycles);
     EXPECT_EQ(on.energy, off.energy);
@@ -629,30 +489,6 @@ TEST(MonSystem, TelemetryChangesNoModelMetric)
     ASSERT_TRUE(r.open(f.path())) << r.error();
     EXPECT_GT(r.sampleCount(), 0u);
     EXPECT_EQ(r.interval(), Tick{500});
-}
-
-TEST(MonSystem, TakomonBytesIdenticalAcrossShardCounts)
-{
-    ScratchFile f1("s1.takomon"), f2("s2.takomon"), f4("s4.takomon");
-    const MonRunResult s1 = runDecompressMon(1, f1.path(), 500);
-    const MonRunResult s2 = runDecompressMon(2, f2.path(), 500);
-    const MonRunResult s4 = runDecompressMon(4, f4.path(), 500);
-
-    ASSERT_FALSE(s1.monBytes.empty());
-    EXPECT_EQ(s1.monBytes, s2.monBytes);
-    EXPECT_EQ(s1.monBytes, s4.monBytes);
-
-    // The post-run shard.* namespace describes each topology.
-    EXPECT_EQ(s1.counters.at("shard.domains"), 1.0);
-    EXPECT_EQ(s2.counters.at("shard.domains"), 2.0);
-    EXPECT_EQ(s4.counters.at("shard.domains"), 4.0);
-    EXPECT_GT(s4.counters.at("shard.d0.events"), 0.0);
-    EXPECT_GE(s4.counters.at("shard.load_imbalance"), 1.0);
-    EXPECT_GT(s4.counters.at("shard.events_mean"), 0.0);
-    // events_max is the max over domains, so max/mean >= 1 holds by
-    // construction; the checksum ties all three runs to one answer.
-    EXPECT_EQ(s2.checksum, s1.checksum);
-    EXPECT_EQ(s4.checksum, s1.checksum);
 }
 
 namespace

@@ -7,13 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "noc/mesh.hh"
-#include "sim/domains.hh"
+#include "sim/event_queue.hh"
 #include "sim/exec_ctx.hh"
-#include "sim/shard.hh"
 #include "sim/task.hh"
 
 using namespace tako;
@@ -151,74 +149,51 @@ struct WalkResult
 };
 
 Task<>
-walkProbe(Mesh &mesh, Domains &dom, int src, int dst, unsigned bytes,
+walkProbe(Mesh &mesh, EventQueue &eq, int src, int dst, unsigned bytes,
           WalkResult &r)
 {
-    r.sent = ctxQueue()->now();
-    co_await mesh.walk(dom, src, dst, bytes, &r.latency);
-    r.arrived = ctxQueue()->now();
+    r.sent = eq.now();
+    co_await mesh.walk(eq, src, dst, bytes, &r.latency);
+    r.arrived = eq.now();
     r.stream = ctxStream();
     r.queue = ctxQueue();
 }
 
-/**
- * A 4x4 mesh decomposed over @p shards column-band domains, run by the
- * sharded executor exactly as System runs the full model.
- */
+/** A 4x4 mesh on a keyed queue, as System runs the full model. */
 struct WalkRig
 {
-    explicit WalkRig(unsigned shards)
-        : plan(ShardPlan::build(4, 4, MeshParams{}.routerDelay,
-                                MeshParams{}.linkDelay, shards))
+    WalkRig() : energy(stats), mesh(MeshParams{}, stats, energy)
     {
-        std::vector<EventQueue *> raw;
-        for (unsigned d = 0; d < plan.shards; ++d) {
-            queues.push_back(std::make_unique<EventQueue>());
-            raw.push_back(queues.back().get());
-        }
-        dom.init(plan, raw);
-        // Lanes before any handle is cached, as System does.
-        stats.enableLanes(plan.shards);
-        energy = std::make_unique<EnergyModel>(stats);
-        mesh = std::make_unique<Mesh>(MeshParams{}, stats, *energy);
+        eq.enableStreamKeys(16);
     }
 
     /** Start a walk from @p src at absolute tick @p when. */
     void
     send(Tick when, int src, int dst, unsigned bytes, WalkResult &r)
     {
-        dom.postAbs(src, when, [this, src, dst, bytes, &r] {
-            spawn(walkProbe(*mesh, dom, src, dst, bytes, r));
+        eq.postAbs(src, when, [this, src, dst, bytes, &r] {
+            spawn(walkProbe(mesh, eq, src, dst, bytes, r));
         });
     }
 
-    void
-    run()
-    {
-        ShardedExecutor exec(dom.queues(), plan.quantum);
-        dom.setExecutor(&exec);
-        exec.run();
-        dom.setExecutor(nullptr);
-        stats.mergeLanes();
-    }
+    void run() { eq.run(); }
 
-    ShardPlan plan;
-    std::vector<std::unique_ptr<EventQueue>> queues;
-    Domains dom;
+    EventQueue eq;
     StatsRegistry stats;
-    std::unique_ptr<EnergyModel> energy;
-    std::unique_ptr<Mesh> mesh;
+    EnergyModel energy;
+    Mesh mesh;
 };
+
+} // namespace
 
 /**
  * Every (src, dst) pair at 8 and 72 bytes, each message alone on the
  * mesh: the walk's latency equals traverse()'s zero-load latency, the
  * clock agrees, and the caller resumes on the destination's stream.
  */
-void
-expectIdleWalksMatchTraverse(unsigned shards)
+TEST(MeshWalk, MatchesTraverseOnIdleMesh)
 {
-    WalkRig rig(shards);
+    WalkRig rig;
     StatsRegistry refStats;
     EnergyModel refEnergy(refStats);
     Mesh ref(MeshParams{}, refStats, refEnergy);
@@ -242,51 +217,39 @@ expectIdleWalksMatchTraverse(unsigned shards)
     rig.run();
 
     for (const Probe &p : probes) {
-        SCOPED_TRACE(::testing::Message() << "shards=" << shards << " "
-                                          << p.src << "->" << p.dst
-                                          << " " << p.bytes << "B");
+        SCOPED_TRACE(::testing::Message() << p.src << "->" << p.dst << " "
+                                          << p.bytes << "B");
         const Tick expect = ref.traverse(0, p.src, p.dst, p.bytes);
         ref.reset();
         EXPECT_EQ(p.r.latency, expect);
         EXPECT_EQ(p.r.arrived - p.r.sent, expect);
-        EXPECT_EQ(p.r.stream, Domains::streamOf(p.dst));
-        EXPECT_EQ(p.r.queue, &rig.dom.queueOf(p.dst));
+        EXPECT_EQ(p.r.stream, EventQueue::streamOf(p.dst));
+        EXPECT_EQ(p.r.queue, &rig.eq);
     }
     EXPECT_EQ(rig.stats.get("noc.messages"), double(probes.size()));
     EXPECT_EQ(rig.stats.get("noc.localMessages"), 2.0 * 16);
     EXPECT_EQ(rig.stats.get("noc.flitHops"),
               refStats.get("noc.flitHops"));
-}
-
-} // namespace
-
-TEST(MeshWalk, MatchesTraverseOnIdleMesh)
-{
-    expectIdleWalksMatchTraverse(1);
-}
-
-TEST(MeshWalk, LatenciesHoldAtTwoShards)
-{
-    expectIdleWalksMatchTraverse(2);
+    EXPECT_EQ(double(rig.mesh.flitHops()), rig.stats.get("noc.flitHops"));
 }
 
 TEST(MeshWalk, LocalDeliveryCostsOneRouter)
 {
-    WalkRig rig(1);
+    WalkRig rig;
     WalkResult r;
     rig.send(50, 5, 5, 72, r);
     rig.run();
     EXPECT_EQ(r.latency, MeshParams{}.routerDelay);
     EXPECT_EQ(r.arrived, 50 + MeshParams{}.routerDelay);
-    EXPECT_EQ(r.stream, Domains::streamOf(5));
+    EXPECT_EQ(r.stream, EventQueue::streamOf(5));
     EXPECT_EQ(rig.stats.get("noc.messages"), 1.0);
     EXPECT_EQ(rig.stats.get("noc.localMessages"), 1.0);
-    EXPECT_EQ(rig.mesh->flitHops(), 0u);
+    EXPECT_EQ(rig.mesh.flitHops(), 0u);
 }
 
 TEST(MeshWalk, ContendedLinkServesInArrivalOrder)
 {
-    WalkRig rig(1);
+    WalkRig rig;
     // Same link, same tick: the first sent holds the link for its five
     // flits, the second waits them out.
     WalkResult first, second;

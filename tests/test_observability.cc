@@ -330,7 +330,7 @@ TEST(Sampler, SnapshotsAtIntervalBoundaries)
     EventQueue eq;
     StatsRegistry stats;
     Counter &c = stats.counter("c");
-    mon::TimeSeriesSink sink({&eq}, stats, sampleEvery(10));
+    mon::TimeSeriesSink sink(eq, stats, sampleEvery(10));
     eq.schedule(7, [&]() { c += 1; });
     eq.schedule(25, [&]() { c += 2; });
     eq.schedule(35, [&]() {});
@@ -351,7 +351,7 @@ TEST(Sampler, RunUntilSamplesIdleTime)
     EventQueue eq;
     StatsRegistry stats;
     stats.counter("c");
-    mon::TimeSeriesSink sink({&eq}, stats, sampleEvery(10));
+    mon::TimeSeriesSink sink(eq, stats, sampleEvery(10));
     eq.runUntil(50);
     ASSERT_TRUE(sink.finish()) << sink.error();
     EXPECT_EQ(stats.timeSeries().numSamples(), 5u);
@@ -364,7 +364,7 @@ TEST(Sampler, PatternSelectsCounters)
     stats.counter("l1.hits");
     stats.counter("l1.misses");
     stats.counter("dram.reads");
-    mon::TimeSeriesSink sink({&eq}, stats, sampleEvery(10, {"l1.*"}));
+    mon::TimeSeriesSink sink(eq, stats, sampleEvery(10, {"l1.*"}));
     ASSERT_TRUE(sink.finish()) << sink.error();
     ASSERT_EQ(stats.timeSeries().names.size(), 2u);
     EXPECT_EQ(stats.timeSeries().names[0], "l1.hits");

@@ -11,29 +11,14 @@ Host-side throughput gauges (the ``host.*`` counter namespace and the
 ``host_*`` report headers) are exempt by contract: they measure the
 machine, not the model.
 
-``--exempt-prefix=P`` (repeatable) additionally exempts every metric
-whose dotted path starts with P. CI's cross-topology gates pass
-``--exempt-prefix=shard.``: the shard.* observability counters are
-deterministic for a fixed topology but describe the topology itself
-(domain count, per-domain event shares), so a shards=4 run legitimately
-differs from the monolithic baseline there. The same-topology gate
-(-j8 vs -j1) passes no exemption — shard.* must be thread-count-exact.
-
-``--require-nonempty-domains`` additionally asserts, for every candidate
-run that reports a sharded topology (``shard.domains`` > 1), that every
-domain actually executed events (``shard.d<i>.events`` > 0). This is how
-CI proves the cross-topology gates exercised real decomposed execution:
-a bit-identical report from a run whose remote domains sat idle would
-pass the diff while testing nothing.
-
 ``--series A B`` switches to takomon mode: the two telemetry files must
 be byte-identical (the format is canonical — same samples => same
 bytes), and on mismatch both are decoded to report the first diverging
 series/sample instead of a bare "files differ".
 
-This is the CI gate behind ``--takosim-arg=--shards=4``: a sharded
-sweep's report must carry exactly the same simulated metrics as the
-monolithic baseline.
+This is the CI gate behind ``--takosim-arg=--mon-every=5000``: a
+telemetry-enabled sweep's report must carry exactly the same simulated
+metrics as the plain baseline.
 """
 
 import argparse
@@ -53,7 +38,7 @@ def is_host_metric(name: str) -> bool:
     )
 
 
-def run_metrics(report: dict, exempt_prefixes) -> dict:
+def run_metrics(report: dict) -> dict:
     """name -> {metric -> value} for every completed run."""
     out = {}
     for run in report.get("runs", []):
@@ -61,32 +46,9 @@ def run_metrics(report: dict, exempt_prefixes) -> dict:
         if not isinstance(metrics, dict):
             continue
         out[run["name"]] = {
-            k: v
-            for k, v in metrics.items()
-            if not is_host_metric(k)
-            and not any(k.startswith(p) for p in exempt_prefixes)
+            k: v for k, v in metrics.items() if not is_host_metric(k)
         }
     return out
-
-
-def empty_domain_failures(report: dict) -> list:
-    """Sharded runs whose domains executed nothing (see module doc)."""
-    failures = []
-    for run in report.get("runs", []):
-        metrics = run.get("metrics")
-        if not isinstance(metrics, dict):
-            continue
-        domains = int(metrics.get("shard.domains", 0))
-        if domains <= 1:
-            continue
-        for d in range(domains):
-            key = f"shard.d{d}.events"
-            if metrics.get(key, 0) <= 0:
-                failures.append(
-                    f"{run['name']}: {key} = {metrics.get(key)!r} "
-                    f"(domain {d} of {domains} executed nothing)"
-                )
-    return failures
 
 
 def diff_series(a_path: str, b_path: str) -> int:
@@ -146,25 +108,10 @@ def main() -> int:
         "guards against two empty reports trivially matching)",
     )
     ap.add_argument(
-        "--exempt-prefix",
-        action="append",
-        default=[],
-        metavar="PREFIX",
-        help="also exempt metrics starting with PREFIX (repeatable); "
-        "CI's cross-topology gates pass shard. here",
-    )
-    ap.add_argument(
         "--series",
         action="store_true",
         help="treat the two inputs as takomon files and require "
         "byte-identity",
-    )
-    ap.add_argument(
-        "--require-nonempty-domains",
-        action="store_true",
-        help="fail if any candidate run reporting shard.domains > 1 "
-        "has a domain with shard.d<i>.events <= 0 (proves the gate "
-        "exercised real decomposed execution)",
     )
     args = ap.parse_args()
 
@@ -172,10 +119,9 @@ def main() -> int:
         return diff_series(args.baseline, args.candidate)
 
     with open(args.baseline) as f:
-        base = run_metrics(json.load(f), args.exempt_prefix)
+        base = run_metrics(json.load(f))
     with open(args.candidate) as f:
-        cand_report = json.load(f)
-    cand = run_metrics(cand_report, args.exempt_prefix)
+        cand = run_metrics(json.load(f))
 
     shared = sorted(set(base) & set(cand))
     only_base = sorted(set(base) - set(cand))
@@ -211,38 +157,15 @@ def main() -> int:
             f"need {args.require_runs}"
         )
 
-    sharded_runs = 0
-    if args.require_nonempty_domains:
-        failures.extend(empty_domain_failures(cand_report))
-        sharded_runs = sum(
-            1
-            for run in cand_report.get("runs", [])
-            if isinstance(run.get("metrics"), dict)
-            and run["metrics"].get("shard.domains", 0) > 1
-        )
-        if sharded_runs == 0:
-            failures.append(
-                "no candidate run reports shard.domains > 1; the "
-                "non-empty-domain assertion checked nothing"
-            )
-
     if failures:
         print(f"diff_metrics: {len(failures)} difference(s):")
         for f in failures:
             print(f"  {f}")
         return 1
 
-    exempt = ["host.*"] + [p + "*" for p in args.exempt_prefix]
-    tail = ""
-    if args.require_nonempty_domains:
-        tail = (
-            f"; all domains non-empty across {sharded_runs} sharded "
-            f"run(s)"
-        )
     print(
         f"diff_metrics: OK — {compared_metrics} metrics across "
-        f"{compared_runs} runs bit-identical ({', '.join(exempt)} "
-        f"exempt){tail}"
+        f"{compared_runs} runs bit-identical (host.* exempt)"
     )
     return 0
 

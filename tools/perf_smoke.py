@@ -10,7 +10,8 @@ merges both into a single "takoperf-v1" JSON artifact. CI uploads the
 artifact per commit so events/sec has a trajectory; feed one or more of
 these files to tools/plot_results.py to render the trend.
 
-Exit status is non-zero if a child fails or a shard-speedup gate fails.
+Exit status is non-zero if a child fails or the ensemble-speedup gate
+fails.
 
 Perf numbers are only comparable between trusted artifacts: a Release
 build of a clean (committed) tree. The build type and C++ flags come from
@@ -35,11 +36,6 @@ import time
 # enforced when the host actually has >= 4 CPUs: on smaller runners the
 # lanes time-share and the measurement is meaningless.
 MIN_SHARD_SPEEDUP = 2.0
-# Required wall-clock speedup of ONE 16-tile run at --shards=4 over
-# --shards=1: the decomposed model executing a single simulation across
-# four shard-domain workers (not an ensemble). Same host-CPU guard as
-# the ensemble gate.
-MIN_SINGLE_RUN_SPEEDUP = 1.8
 KERNEL_FILTER = "BM_EventQueue|BM_Coroutine"
 
 
@@ -136,10 +132,9 @@ def run_takosim(bin_dir, quick):
 def run_shard_ensemble(bin_dir, quick):
     """Wall-time a 16-tile nightly-sized ensemble at 1 vs. 4 lanes.
 
-    Determinism is gated elsewhere (test_shard, the quick-suite
-    diff_metrics gates); this measures the parallelism payoff:
-    --shards=N is the host-parallelism budget, spent on ensemble lanes
-    under --replicate.
+    Determinism is gated elsewhere (test_expt's ensemble test, the TSan
+    ensemble diff in CI); this measures the parallelism payoff:
+    --shards=N is the lane count of a --replicate ensemble.
     """
     exe = os.path.join(bin_dir, "tools", "takosim")
     # phi at 16k vertices is the nightly-sized 16-tile run: long enough
@@ -168,46 +163,6 @@ def run_shard_ensemble(bin_dir, quick):
         "cores": 16,
         "vertices": 16384,
         "replicas": 4,
-        "wall_sec_shards1": walls[1],
-        "wall_sec_shards4": walls[4],
-        "speedup": walls[1] / walls[4] if walls[4] > 0 else 0.0,
-        "host_cpus": os.cpu_count() or 1,
-    }
-
-
-def run_shard_single(bin_dir, quick):
-    """Wall-time ONE 16-tile run at --shards=1 vs. --shards=4.
-
-    Unlike run_shard_ensemble (4 independent replicas spread across
-    lanes), this is a single simulation decomposed across shard domains:
-    each domain owns its tiles' cores, caches, engines, and routers and
-    drains its own event queue under quantum barriers. Bit-identity of
-    the result is gated elsewhere (test_shard, the CI quick-suite
-    diffs); this measures the parallel payoff of the decomposition
-    itself.
-    """
-    exe = os.path.join(bin_dir, "tools", "takosim")
-    base = [
-        exe,
-        "--workload=phi",
-        "--variant=tako",
-        "--cores=16",
-        "--vertices=16384",
-    ]
-    env = dict(os.environ)
-    if quick:
-        env["TAKO_QUICK"] = "1"
-    walls = {}
-    for shards in (1, 4):
-        start = time.monotonic()
-        subprocess.run(base + [f"--shards={shards}"], check=True,
-                       stdout=subprocess.DEVNULL, env=env)
-        walls[shards] = time.monotonic() - start
-    return {
-        "workload": "phi",
-        "variant": "tako",
-        "cores": 16,
-        "vertices": 16384,
         "wall_sec_shards1": walls[1],
         "wall_sec_shards4": walls[4],
         "speedup": walls[1] / walls[4] if walls[4] > 0 else 0.0,
@@ -260,10 +215,10 @@ def run_trace_codec(bin_dir, quick):
 
 
 def run_lint_cold(bin_dir):
-    """Wall-time one cold takolint run over src/ (all ten rules, full
-    cross-file symbol index). Informational — no gate; the artifact
-    gives the analyzer's cost a per-commit trajectory so a quadratic
-    slip in the flow pass shows up as a trend, not a CI timeout.
+    """Wall-time one cold takolint run over src/ (every rule, full
+    cross-file index). Informational — no gate; the artifact gives the
+    analyzer's cost a per-commit trajectory so a quadratic slip shows
+    up as a trend, not a CI timeout.
     Returns None when the binary isn't in this build (e.g. --quick
     bench-only trees).
     """
@@ -313,7 +268,6 @@ def main():
     takosim, prof_path = run_takosim(args.bin_dir, args.quick)
 
     shard = run_shard_ensemble(args.bin_dir, args.quick)
-    single = run_shard_single(args.bin_dir, args.quick)
     trace = run_trace_codec(args.bin_dir, args.quick)
     lint = run_lint_cold(args.bin_dir)
 
@@ -332,7 +286,6 @@ def main():
         "benchmarks": benches,
         "takosim": takosim,
         "shard_ensemble": shard,
-        "shard_single_run": single,
         "trace_codec": trace,
     }
     if lint is not None:
@@ -355,10 +308,6 @@ def main():
           f"{shard['wall_sec_shards1']:.2f}s at 1 lane, "
           f"{shard['wall_sec_shards4']:.2f}s at 4 lanes "
           f"({shard['speedup']:.2f}x, {shard['host_cpus']} host CPUs)")
-    print(f"perf_smoke: single 16-tile run "
-          f"{single['wall_sec_shards1']:.2f}s at --shards=1, "
-          f"{single['wall_sec_shards4']:.2f}s at --shards=4 "
-          f"({single['speedup']:.2f}x, {single['host_cpus']} host CPUs)")
     print(f"perf_smoke: trace codec ({trace['records']} kv records) "
           f"encode {trace['encode_records_per_sec'] / 1e6:.1f} M/s, "
           f"decode {trace['decode_records_per_sec'] / 1e6:.1f} M/s, "
@@ -377,13 +326,6 @@ def main():
         print(f"perf_smoke: FAIL: shard-ensemble speedup "
               f"{shard['speedup']:.2f}x < required {MIN_SHARD_SPEEDUP}x "
               f"on a {shard['host_cpus']}-CPU host", file=sys.stderr)
-        return 1
-    if (single["host_cpus"] >= 4
-            and single["speedup"] < MIN_SINGLE_RUN_SPEEDUP):
-        print(f"perf_smoke: FAIL: single-run shard speedup "
-              f"{single['speedup']:.2f}x < required "
-              f"{MIN_SINGLE_RUN_SPEEDUP}x "
-              f"on a {single['host_cpus']}-CPU host", file=sys.stderr)
         return 1
     return 0
 

@@ -14,12 +14,12 @@ schema "takobench-v1"), a takoprof profile (takosim --profile, schema
 takomon-v1), or one or more perf-smoke artifacts (tools/perf_smoke.py,
 schema "takoperf-v1"); the format is sniffed from the file contents.
 Bench inputs get one PNG per figure/run with the variants' leading
-metric, plus a shard load-factor heatmap when any run carries the
-shard.* observability counters; takoprof inputs get a NoC
+metric; takoprof inputs get a NoC
 link-utilization heatmap and a per-engine occupancy chart; takomon
 inputs get a time-series chart of the most active counters; takoperf
-inputs get an events/sec trend across the given files (in argument
-order, labelled by git rev — pass the artifacts oldest-first).
+inputs get an events/sec trend and an ensemble-speedup trend across the
+given files (in argument order, labelled by git rev — pass the
+artifacts oldest-first).
 
 Missing or empty input files are skipped with a warning rather than
 aborting the batch — perf history directories legitimately start out
@@ -27,7 +27,6 @@ sparse. Requires matplotlib; degrades to printing the parsed tables
 without it.
 """
 import json
-import math
 import os
 import re
 import sys
@@ -205,32 +204,9 @@ def plot_takomon(doc, outdir, top=8):
     print(f"wrote takomon series chart to {outdir}/takomon_{stem}.png")
 
 
-def shard_load_factors(doc):
-    """Per-run per-domain load factors from a takobench-v1 report.
-
-    Reads the shard.d<i>.events observability counters out of each
-    run's metrics; a domain's load factor is its executed events over
-    the run's per-domain mean (1.0 = perfectly balanced). Returns
-    (run names, rows); runs without at least two domains are skipped.
-    """
-    names, rows = [], []
-    for run in doc.get("runs", []):
-        m = run.get("metrics") or {}
-        events = []
-        while f"shard.d{len(events)}.events" in m:
-            events.append(m[f"shard.d{len(events)}.events"])
-        if len(events) < 2:
-            continue
-        mean = sum(events) / len(events)
-        rows.append([e / mean if mean else 0.0 for e in events])
-        names.append(run.get("name", "?"))
-    return names, rows
-
-
 def plot_suite(doc, outdir):
-    """Bar chart per run + shard load heatmap from a takobench doc."""
+    """Bar chart per run from a takobench doc."""
     sections = parse_suite(doc)
-    heat_names, heat_rows = shard_load_factors(doc)
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -238,45 +214,21 @@ def plot_suite(doc, outdir):
     except ImportError:
         for name, rows in sections.items():
             print(f"{name}: {len(rows)} rows")
-        for name, row in zip(heat_names, heat_rows):
-            worst = max(row)
-            print(f"shard load {name}: {len(row)} domains, "
-                  f"max/mean {worst:.2f}")
         print("matplotlib not available; printed summaries only")
         return
 
     wrote = plot_sections(sections, outdir, plt)
-    if heat_rows:
-        width = max(len(r) for r in heat_rows)
-        grid = [r + [math.nan] * (width - len(r)) for r in heat_rows]
-        fig, ax = plt.subplots(
-            figsize=(max(5, width * 0.5), max(3, len(grid) * 0.4 + 1)))
-        im = ax.imshow(grid, cmap="coolwarm", aspect="auto",
-                       vmin=0.0, vmax=2.0)
-        ax.set_title("Shard load factor (domain events / mean)")
-        ax.set_xlabel("domain")
-        ax.set_yticks(range(len(heat_names)))
-        ax.set_yticklabels(heat_names, fontsize=7)
-        fig.colorbar(im, ax=ax, label="load factor")
-        plt.tight_layout()
-        fig.savefig(f"{outdir}/shard_heatmap.png", dpi=120)
-        plt.close(fig)
-        wrote += 1
-        print(f"wrote shard heatmap ({len(heat_names)} runs) to "
-              f"{outdir}/shard_heatmap.png")
     print(f"wrote {wrote} charts to {outdir}")
 
 
 def plot_takoperf(docs, outdir):
-    """Throughput + shard-speedup trends across takoperf-v1 artifacts.
+    """Throughput + ensemble-speedup trends across takoperf-v1 artifacts.
 
     Two charts: (1) end-to-end takosim events/sec (the number that
     bounds figure-bench scale) against the raw event-queue
-    schedule/fire microbenchmark; (2) the decomposed-run payoff — the
-    shard_single_run wall-clock speedup of one 16-tile simulation at
-    --shards=4 over --shards=1, with the shard_ensemble (independent
-    replica lanes) speedup alongside for contrast. Each point is one
-    artifact in argument order labelled by its git rev; artifacts
+    schedule/fire microbenchmark; (2) the shard_ensemble wall-clock
+    speedup of four replicas on four lanes over one lane. Each point is
+    one artifact in argument order labelled by its git rev; artifacts
     tagged "untrusted" (non-Release build or dirty tree — see
     perf_smoke.py) get a * on the label.
     """
@@ -286,7 +238,6 @@ def plot_takoperf(docs, outdir):
                for d in docs]
     ueq = [d.get("benchmarks", {}).get("BM_EventQueueSchedule", {})
             .get("items_per_second", 0) / 1e6 for d in docs]
-    single = [d.get("shard_single_run", {}).get("speedup") for d in docs]
     ensemble = [d.get("shard_ensemble", {}).get("speedup") for d in docs]
     try:
         import matplotlib
@@ -294,36 +245,29 @@ def plot_takoperf(docs, outdir):
         import matplotlib.pyplot as plt
     except ImportError:
         print(f"{'rev':>13} {'sim Mev/s':>10} {'uqueue M/s':>10} "
-              f"{'1-run spdup':>11}")
-        for r, s, u, sp in zip(revs, sim_eps, ueq, single):
+              f"{'ens spdup':>11}")
+        for r, s, u, sp in zip(revs, sim_eps, ueq, ensemble):
             sp_txt = f"{sp:.2f}x" if sp is not None else "-"
             print(f"{r:>13} {s:>10.2f} {u:>10.1f} {sp_txt:>11}")
         print("matplotlib not available; printed summaries only")
         return
 
-    if any(sp is not None for sp in single + ensemble):
+    if any(sp is not None for sp in ensemble):
         fig, ax = plt.subplots(figsize=(max(6, len(revs) * 0.9), 3.5))
-        if any(sp is not None for sp in single):
-            ax.plot(revs, [sp if sp is not None else float("nan")
-                           for sp in single],
-                    marker="o", label="single run, 4 shard domains")
-        if any(sp is not None for sp in ensemble):
-            ax.plot(revs, [sp if sp is not None else float("nan")
-                           for sp in ensemble],
-                    marker="s", linestyle="--",
-                    label="4-replica ensemble, 4 lanes")
+        ax.plot(revs, [sp if sp is not None else float("nan")
+                       for sp in ensemble],
+                marker="s", label="4-replica ensemble, 4 lanes")
         ax.axhline(1.0, color="gray", linewidth=0.8)
-        ax.set_ylabel("wall-clock speedup vs --shards=1")
+        ax.set_ylabel("wall-clock speedup vs 1 lane")
         ax.set_ylim(bottom=0)
-        ax.set_title("Sharded-execution speedup trend "
-                     "(* = untrusted artifact)")
+        ax.set_title("Ensemble speedup trend (* = untrusted artifact)")
         ax.legend(loc="lower right")
         plt.xticks(rotation=30, ha="right")
         plt.tight_layout()
-        fig.savefig(f"{outdir}/takoperf_shard_speedup.png", dpi=120)
+        fig.savefig(f"{outdir}/takoperf_ensemble_speedup.png", dpi=120)
         plt.close(fig)
-        print(f"wrote shard speedup trend to "
-              f"{outdir}/takoperf_shard_speedup.png")
+        print(f"wrote ensemble speedup trend to "
+              f"{outdir}/takoperf_ensemble_speedup.png")
 
     fig, ax = plt.subplots(figsize=(max(6, len(revs) * 0.9), 3.5))
     ax.plot(revs, sim_eps, marker="o", label="takosim (end-to-end)")

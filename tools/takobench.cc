@@ -72,7 +72,7 @@ usage(int code)
         "  --takosim-arg=ARG  append ARG verbatim to every takosim-kind\n"
         "                     run's command line (repeatable; bench-kind\n"
         "                     runs are untouched). Example:\n"
-        "                     --takosim-arg=--shards=4\n"
+        "                     --takosim-arg=--mon-every=5000\n"
         "  --progress[=N]     ask takosim-kind runs for a heartbeat\n"
         "                     every N cycles (default 1000000) and\n"
         "                     reprint each beat live, tagged with its\n"
@@ -249,7 +249,7 @@ buildCommand(const RunSpec &run, const Options &o,
         for (const auto &[k, v] : run.args)
             cmd.argv.push_back("--" + k + "=" + v);
         // Pass-throughs go after the spec's own args so a sweep (e.g.
-        // --shards=4 for the CI determinism gate) wins on conflicts.
+        // --mon-every=5000 for the CI telemetry gate) wins on conflicts.
         for (const std::string &extra : o.takosimArgs)
             cmd.argv.push_back(extra);
         if (o.progressEvery > 0)

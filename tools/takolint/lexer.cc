@@ -151,7 +151,7 @@ lex(const std::string &path, const std::string &src)
         }
         atLineStart = false;
 
-        // Comments (kept: suppressions and annotations live here).
+        // Comments (kept: suppressions live here).
         if (c == '/' && i + 1 < n && src[i + 1] == '/') {
             const int start = line;
             std::size_t e = src.find('\n', i);
@@ -159,8 +159,6 @@ lex(const std::string &path, const std::string &src)
                 e = n;
             std::string text = src.substr(i, e - i);
             parseSuppressions(text, start, out.suppressions);
-            if (text.find("takolint: domain-local") != std::string::npos)
-                out.domainLocalMarks.push_back(start);
             push(Tok::Comment, std::move(text), start);
             i = e;
             continue;
@@ -179,8 +177,6 @@ lex(const std::string &path, const std::string &src)
             // Attach a block comment's suppressions to its *last* line,
             // so `/* takolint: ok(...) */` above a statement works.
             parseSuppressions(text, line, out.suppressions);
-            if (text.find("takolint: domain-local") != std::string::npos)
-                out.domainLocalMarks.push_back(line);
             push(Tok::Comment, std::move(text), start);
             i = e;
             continue;

@@ -22,38 +22,12 @@
  *   S1  stats resolved via cached handle() pointers at construction,
  *       not string lookups inside per-access code: registry calls are
  *       only allowed in constructors/destructors and finalize().
- *   X1  no static-duration mutable state in model code: sharded runs
- *       (SystemConfig::shards > 1) execute shards on concurrent host
- *       threads, so anything shared must either be immutable
- *       (const/constexpr/constinit), per-thread (thread_local), or go
- *       through the Domains::post mailbox API. Heuristic on
- *       the `static` keyword; unmarked namespace-scope globals are a
- *       known blind spot.
- *
- * Flow-sensitive partition-safety rules (v2) run over partition code
- * (the model directories plus src/workloads and src/system) on a
- * per-function CFG recovered by the lightweight parser (flow.hh):
- *
- *   X2  no direct EventQueue::schedule* on a foreign domain's queue
- *       (obtained via Domains::queueOf/queueOfDomain/queues or the
- *       queues_ table): cross-domain work must go through
- *       Domains::post/postAbs or ShardedExecutor::sendKeyed so it
- *       lands in the partition-invariant (tick, priority, key) order.
- *   H1  no use of a pre-hop reference (or, in a lambda, a by-ref
- *       capture or explicit `this`) after a migrating suspension point
- *       (`co_await hopTo/hopToAbs/hop`): the coroutine resumes in
- *       another domain, so references bound before the hop are stale;
- *       re-bind after each hop. Findings carry a flow trace naming the
- *       binding, the suspension point, and the stale use.
- *   C1  no `// takolint: domain-local` annotated object (Semaphore,
- *       Join, per-tile state) captured into a cross-domain callable
- *       (post/postAbs/sendKeyed) or used after a migrating hop: such
- *       objects must only ever be touched from the domain that owns
- *       them (funnel through an anchor tile, like SimBarrier).
- *   L3  no address of a stack local escaping into a deferred callable
- *       (schedule*, spawn, post, postAbs, sendKeyed) via `p = &local`
- *       init-captures or `&local` in the body: the callable outlives
- *       the frame.
+ *   X1  no static-duration mutable state in model code: ensemble
+ *       replicas (takosim --replicate) run concurrently in one process,
+ *       so anything shared must be immutable (const/constexpr/
+ *       constinit), per-thread (thread_local), or per-instance.
+ *       Heuristic on the `static` keyword; unmarked namespace-scope
+ *       globals are a known blind spot.
  *
  * Any site can opt out with an explicit, reasoned suppression on the
  * same line or the line above:
@@ -61,8 +35,7 @@
  *     // takolint: ok(D1, drained into a sorted vector below)
  *
  * Diagnostics are GCC-style `file:line: rule: message`; the driver also
- * emits a `takolint-v2` JSON report (see tools/validate_takolint.py)
- * whose flow-rule findings carry the witness path as a `trace` array.
+ * emits a `takolint-v3` JSON report (see tools/validate_takolint.py).
  */
 
 #ifndef TAKO_TOOLS_TAKOLINT_LINT_HH
@@ -111,10 +84,6 @@ struct SourceFile
     std::vector<Token> tokens;   ///< full stream, comments included
     std::vector<int> sig;        ///< indices of significant tokens
     std::vector<Suppression> suppressions;
-    /** Lines carrying a `// takolint: domain-local` annotation; the
-     *  class definition on the same or the next line is domain-local
-     *  by contract (rule C1). */
-    std::vector<int> domainLocalMarks;
 };
 
 /** Lex @p source (contents of @p path) into tokens + suppressions. */
@@ -122,13 +91,6 @@ SourceFile lex(const std::string &path, const std::string &source);
 
 /** Read and lex a file; throws std::runtime_error on I/O failure. */
 SourceFile lexFile(const std::string &path);
-
-/** One hop of a flow-rule witness path (takolint-v2 `trace`). */
-struct TraceStep
-{
-    int line = 0;
-    std::string note;
-};
 
 struct Finding
 {
@@ -138,9 +100,6 @@ struct Finding
     std::string message;
     bool suppressed = false;
     std::string suppressReason; ///< set when suppressed
-    /** Witness path for flow rules (X2/H1/C1/L3): binding site,
-     *  suspension point, stale use — empty for token-level rules. */
-    std::vector<TraceStep> trace;
 };
 
 struct UnusedSuppression
@@ -182,14 +141,6 @@ const std::map<std::string, std::string> &ruleDescriptions();
 
 /** True when @p path lies in a model-code directory (see D1 above). */
 bool isModelPath(const std::string &path);
-
-/**
- * True when @p path participates in the domain decomposition: the model
- * directories plus src/workloads (SimBarrier, guest threads) and
- * src/system (the shard planner). The flow rules (X2/H1/C1/L3) run
- * here; the token rules keep their original model scope.
- */
-bool isPartitionPath(const std::string &path);
 
 /**
  * Expand files/directories into a sorted list of .hh/.cc sources.

@@ -22,7 +22,7 @@
 #include <array>
 #include <filesystem>
 
-#include "flow.hh"
+#include "lint.hh"
 
 namespace takolint
 {
@@ -71,6 +71,73 @@ const std::set<std::string> kKeywordsNotFunctions = {
     "noexcept", "operator", "alignas", "panic", "panic_if",
 };
 
+/** Cursor over a file's significant tokens. */
+class Cursor
+{
+  public:
+    explicit Cursor(const SourceFile &f) : f_(f) {}
+
+    int size() const { return static_cast<int>(f_.sig.size()); }
+
+    const Token &
+    tok(int i) const
+    {
+        static const Token none{Tok::Punct, "", 0};
+        if (i < 0 || i >= size())
+            return none;
+        return f_.tokens[static_cast<std::size_t>(f_.sig[i])];
+    }
+
+    const std::string &text(int i) const { return tok(i).text; }
+    int line(int i) const { return tok(i).line; }
+    bool is(int i, const char *t) const { return text(i) == t; }
+    bool isIdent(int i) const { return tok(i).kind == Tok::Ident; }
+
+    /** Index of the matcher for the opener at @p i ("(" / "[" / "{"),
+     *  or size() when unbalanced. */
+    int
+    match(int i, const char *open, const char *close) const
+    {
+        int depth = 0;
+        for (int j = i; j < size(); ++j) {
+            if (is(j, open))
+                ++depth;
+            else if (is(j, close) && --depth == 0)
+                return j;
+        }
+        return size();
+    }
+
+    /**
+     * Skip a template argument list starting at "<" (index @p i);
+     * returns the index just past the matching ">". ">>" counts twice.
+     */
+    int
+    skipTemplateArgs(int i) const
+    {
+        int depth = 0;
+        for (int j = i; j < size(); ++j) {
+            const std::string &t = text(j);
+            if (t == "<")
+                ++depth;
+            else if (t == ">") {
+                if (--depth == 0)
+                    return j + 1;
+            } else if (t == ">>") {
+                depth -= 2;
+                if (depth <= 0)
+                    return j + 1;
+            } else if (t == ";" || t == "{") {
+                break; // not actually a template argument list
+            }
+        }
+        return i + 1;
+    }
+
+  private:
+    const SourceFile &f_;
+};
+
 struct Index
 {
     /** Identifiers declared with an unordered container type. */
@@ -79,8 +146,7 @@ struct Index
     std::map<std::string, std::set<std::string>> nodePtrVars;
 };
 
-/** The per-file checker (pass 2). The token-stream Cursor lives in
- *  flow.hh, shared with the flow layer. */
+/** The per-file checker (pass 2). */
 class Checker
 {
   public:
@@ -126,8 +192,7 @@ class Checker
     }
 
     void
-    emit(const std::string &rule, int line, std::string msg,
-         std::vector<TraceStep> trace = {})
+    emit(const std::string &rule, int line, std::string msg)
     {
         if (!ruleEnabled(rule))
             return;
@@ -142,7 +207,6 @@ class Checker
         f.file = f_.path;
         f.line = line;
         f.message = std::move(msg);
-        f.trace = std::move(trace);
         if (cfg_.honorSuppressions) {
             for (auto &s : suppressions_) {
                 if (s->rule == rule &&
@@ -602,9 +666,8 @@ class Checker
             if (t == ";" || t == "=" || t == "{") {
                 emit("X1", c_.line(i),
                      "static-duration mutable state in model code: "
-                     "shards run concurrently, so cross-shard "
-                     "communication must go through "
-                     "Domains::post mailboxes; make this "
+                     "ensemble replicas run concurrently in one "
+                     "process and would share it; make this "
                      "const/constexpr, thread_local, or per-instance");
                 return;
             }
@@ -635,16 +698,6 @@ class Checker
     {
         for (auto &s : supps)
             suppressions_.push_back(&s);
-    }
-
-    /** Flow-rule adapter: routes X2/H1/C1/L3 findings through the same
-     *  dedupe + suppression machinery as the token rules, so one
-     *  suppression list covers the whole multi-rule pass. */
-    void
-    emitFlow(const std::string &rule, int line, std::string msg,
-             std::vector<TraceStep> trace)
-    {
-        emit(rule, line, std::move(msg), std::move(trace));
     }
 };
 
@@ -683,15 +736,7 @@ ruleDescriptions()
         {"S1", "stats via cached handles, not string lookups, in "
                "per-access code"},
         {"X1", "no static-duration mutable state in model code "
-               "(cross-shard state outside the mailbox API)"},
-        {"X2", "no direct EventQueue::schedule* on a foreign domain's "
-               "queue (use Domains::post/postAbs or sendKeyed)"},
-        {"H1", "no use of a pre-hop reference, `this`, or by-ref "
-               "capture after a migrating co_await hopTo/hop"},
-        {"C1", "no domain-local annotated object (Semaphore, Join, "
-               "per-tile state) crossing a domain boundary"},
-        {"L3", "no stack-local address escaping into a deferred "
-               "callable (schedule*/spawn/post/sendKeyed)"},
+               "(ensemble replicas share the process)"},
     };
     return rules;
 }
@@ -710,17 +755,6 @@ isModelPath(const std::string &path)
         if (p.find(d) != std::string::npos)
             return true;
     return false;
-}
-
-bool
-isPartitionPath(const std::string &path)
-{
-    if (isModelPath(path))
-        return true;
-    std::string p = path;
-    std::replace(p.begin(), p.end(), '\\', '/');
-    return p.find("src/workloads/") != std::string::npos ||
-           p.find("src/system/") != std::string::npos;
 }
 
 std::vector<std::string>
@@ -759,39 +793,19 @@ lint(const std::vector<SourceFile> &files, const Config &cfg)
     for (const auto &f : files)
         indexFile(f, idx);
 
-    // Flow symbol index (cross-file, two passes: pass B needs every
-    // file's annotated classes from pass A).
-    SymbolIndex sym;
-    for (const auto &f : files)
-        indexClasses(f, sym);
-    for (const auto &f : files)
-        indexAnnotatedVars(f, sym);
-
     Report report;
     report.filesScanned = static_cast<int>(files.size());
     // `lint` takes files by const&, but suppressions carry a `used`
-    // flag; track usage in a mutable copy per file. The copy is shared
-    // by the token pass and the flow pass, so a suppression used by
-    // either is not reported unused.
+    // flag; track usage in a mutable copy per file.
     for (const auto &f : files) {
         std::vector<Suppression> supps = f.suppressions;
         const bool model = cfg.assumeModelCode || isModelPath(f.path);
         Checker checker(f, idx, cfg, model, report);
         checker.bindSuppressions(supps);
         checker.run();
-        if (cfg.assumeModelCode || isPartitionPath(f.path)) {
-            checkFlowRules(f, sym, cfg,
-                           [&](const std::string &rule, int line,
-                               std::string msg,
-                               std::vector<TraceStep> trace) {
-                               checker.emitFlow(rule, line,
-                                                std::move(msg),
-                                                std::move(trace));
-                           });
-        }
         // Unused suppressions, deduplicated per (line, rule): a line
-        // carrying the same ok(...) twice — or one seen by several
-        // rule passes — is still one stale suppression.
+        // carrying the same ok(...) twice is still one stale
+        // suppression.
         std::set<std::pair<int, std::string>> reported;
         for (const auto &s : supps) {
             if (s.used || !cfg.honorSuppressions)
@@ -831,12 +845,6 @@ format(const Finding &f)
         out += " [suppressed: " +
                (f.suppressReason.empty() ? "no reason" : f.suppressReason) +
                "]";
-    // Flow findings append their witness path as GCC-style notes, one
-    // line per step, so the bind -> suspension -> stale-use chain reads
-    // straight off the terminal.
-    for (const auto &step : f.trace)
-        out += "\n" + f.file + ":" + std::to_string(step.line) +
-               ": note: " + step.note;
     return out;
 }
 

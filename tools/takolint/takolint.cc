@@ -9,8 +9,7 @@
  * finding and exits 1 when any exist, 0 on a clean tree, 2 on usage or
  * I/O errors. `--warn-only` reports but always exits 0 (advisory scans
  * over tools/ and bench/). `--json=FILE` additionally writes a
- * `takolint-v2` report (schema checked by tools/validate_takolint.py);
- * flow-rule findings carry their witness path as a `trace` array.
+ * `takolint-v3` report (schema checked by tools/validate_takolint.py).
  */
 
 #include <cstdio>
@@ -28,7 +27,7 @@ namespace
 constexpr const char *kUsage = R"(usage: takolint [options] PATH...
 
   PATH                file or directory (recursed for .hh/.cc sources)
-  --json=FILE         write a takolint-v2 JSON report
+  --json=FILE         write a takolint-v3 JSON report
   --rules=D1,D2,...   check only these rules (default: all)
   --assume-model-code treat every file as model code (fixture runs)
   --warn-only         report findings but exit 0 (advisory scans)
@@ -68,7 +67,7 @@ void
 writeJson(std::ostream &os, const takolint::Report &report,
           const std::vector<std::string> &roots, bool warnOnly)
 {
-    os << "{\n  \"schema\": \"takolint-v2\",\n";
+    os << "{\n  \"schema\": \"takolint-v3\",\n";
     os << "  \"roots\": [";
     for (std::size_t i = 0; i < roots.size(); ++i)
         os << (i ? ", " : "") << '"' << jsonEscape(roots[i]) << '"';
@@ -101,14 +100,6 @@ writeJson(std::ostream &os, const takolint::Report &report,
         if (f.suppressed)
             os << ", \"reason\": \"" << jsonEscape(f.suppressReason)
                << '"';
-        if (!f.trace.empty()) {
-            os << ", \"trace\": [";
-            for (std::size_t i = 0; i < f.trace.size(); ++i)
-                os << (i ? ", " : "") << "{\"line\": " << f.trace[i].line
-                   << ", \"note\": \"" << jsonEscape(f.trace[i].note)
-                   << "\"}";
-            os << "]";
-        }
         os << "}";
         first = false;
     }

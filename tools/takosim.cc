@@ -26,7 +26,7 @@
 
 #include "gitrev.hh"
 #include "prof/profiler.hh"
-#include "sim/shard.hh"
+#include "sim/lanes.hh"
 #include "sim/tracesink.hh"
 #include "workloads/registry.hh"
 
@@ -60,8 +60,8 @@ struct Options
     std::string monOut;   ///< takomon-v1 binary series output
     Tick progressEvery = 0; ///< heartbeat cadence (0 = off)
     std::string logJson;  ///< structured JSONL run log
-    /** SystemConfig::shards: quantum-barrier sharded execution (and the
-     *  ensemble lane count under --replicate). */
+    /** Host lanes for a --replicate ensemble (a single simulation
+     *  always runs on one event queue). */
     unsigned shards = 1;
     /** Run N seed-offset replicas (seed, seed+1, ...) across
      *  min(shards, N) lanes; report replica 0 plus ens.* aggregates. */
@@ -117,7 +117,7 @@ usage(int code)
         "                     non-host.* stats)\n"
         "  --mon-out=FILE     write the sampled series as a takomon-v1\n"
         "                     binary file (requires --mon-every;\n"
-        "                     bit-identical across -jN and --shards=N)\n"
+        "                     bit-identical across -jN)\n"
         "  --progress[=N]     heartbeat every N cycles (default 1000000):\n"
         "                     sim ticks done, events/s, ETA when the\n"
         "                     frontend knows the work fraction (stderr,\n"
@@ -125,10 +125,9 @@ usage(int code)
         "  --log-json=FILE    mirror warnings/errors/progress as\n"
         "                     severity-tagged JSON lines (one object\n"
         "                     per line; tail-able during long runs)\n"
-        "  --shards=N         run on the sharded conservative executor\n"
-        "                     (quantum barriers from the mesh's minimum\n"
-        "                     cross-shard latency); every non-host.*\n"
-        "                     stat is bit-identical to --shards=1\n"
+        "  --shards=N         host lanes for a --replicate ensemble\n"
+        "                     (requires --replicate when N > 1; one\n"
+        "                     simulation always runs on one thread)\n"
         "  --replicate=N      run N replicas at seeds seed..seed+N-1\n"
         "                     across min(shards, N) host lanes; output\n"
         "                     is replica 0 plus ens.* aggregates and is\n"
@@ -270,6 +269,14 @@ parse(int argc, char **argv)
                      "--workload/--variant\n");
         std::exit(2);
     }
+    if (o.shards > 1 && o.replicate == 1) {
+        std::fprintf(stderr,
+                     "takosim: --shards=%u is the lane count of a "
+                     "--replicate ensemble; a single run has no lanes "
+                     "(add --replicate=N or drop --shards)\n",
+                     o.shards);
+        std::exit(2);
+    }
     if (!o.traceRecord.empty() && o.trace.empty()) {
         std::fprintf(stderr,
                      "takosim: --trace-record=FILE requires --trace=FILE "
@@ -402,7 +409,6 @@ main(int argc, char **argv)
     // lean — see MemParams::latBreakdown).
     sys.mem.latBreakdown = true;
     sys.profile = o.profileSet || !o.folded.empty();
-    sys.shards = o.shards;
     if (o.replicate > 1 &&
         (sys.profile || !o.traceOut.empty() || o.sampleEvery > 0 ||
          !o.samplePatterns.empty() || !o.traceRecord.empty() ||
@@ -476,17 +482,13 @@ main(int argc, char **argv)
         }
     } else {
         // Seed-offset ensemble across host lanes. Each replica runs
-        // monolithic (its own System, shards=1) — --shards spends the
-        // host-parallelism budget on lanes here, and the job -> lane
-        // map is index-pure, so the merged output is identical at any
-        // lane count.
-        SystemConfig repSys = sys;
-        repSys.shards = 1;
+        // its own System on one lane; the job -> lane map is index-pure,
+        // so the merged output is identical at any lane count.
         std::vector<RunMetrics> reps(o.replicate);
         std::vector<std::function<void()>> jobs;
         for (unsigned i = 0; i < o.replicate; ++i) {
-            jobs.push_back([&o, &repSys, &reps, i] {
-                reps[i] = runOne(o, repSys, o.seed + i);
+            jobs.push_back([&o, &sys, &reps, i] {
+                reps[i] = runOne(o, sys, o.seed + i);
             });
         }
         runLanes(std::min(o.shards, o.replicate), jobs);

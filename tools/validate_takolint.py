@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
-"""Validate a takolint-v2 report (takolint --json output).
+"""Validate a takolint-v3 report (takolint --json output).
 
 Usage: tools/validate_takolint.py takolint.json
 
 Checks the structural schema and the internal invariants a correct lint
 run must satisfy: counts match the findings list, exit_code agrees with
-the active-finding count and the warn_only flag, suppressed findings
-carry reasons, and flow-rule findings (X2/H1/C1/L3) carry well-formed
-witness traces whose steps land on positive lines in source order.
-Exits 0 when valid, 1 with a message on the first violation. Stdlib
-only, so CI can run it anywhere.
+the active-finding count and the warn_only flag, and suppressed
+findings carry reasons. Exits 0 when valid, 1 with a message on the
+first violation. Stdlib only, so CI can run it anywhere.
 """
 import json
 import sys
 
-TOKEN_RULES = ("D1", "D2", "L1", "L2", "S1", "X1")
-FLOW_RULES = ("X2", "H1", "C1", "L3")
-RULES = TOKEN_RULES + FLOW_RULES
+RULES = ("D1", "D2", "L1", "L2", "S1", "X1")
 
 
 class Invalid(Exception):
@@ -47,34 +43,6 @@ def check_rules(doc):
     need(set(ids) == set(RULES), f"rules must cover exactly {RULES}")
 
 
-def check_trace(f, where):
-    trace = f.get("trace")
-    if trace is None:
-        # Traces are mandatory for flow rules: a flow finding without
-        # its witness path cannot be reviewed.
-        need(f["rule"] not in FLOW_RULES,
-             f"{where}: {f['rule']} finding has no flow trace")
-        return
-    need(f["rule"] in FLOW_RULES,
-         f"{where}: token rule {f['rule']} must not carry a trace")
-    need(isinstance(trace, list) and trace,
-         f"{where}: trace must be a non-empty array")
-    prev = 0
-    for j, step in enumerate(trace):
-        swhere = f"{where}.trace[{j}]"
-        need(isinstance(step, dict), f"{swhere}: must be an object")
-        need(is_uint(step.get("line")) and step["line"] > 0,
-             f"{swhere}: line must be a positive integer")
-        need(isinstance(step.get("note"), str) and step["note"],
-             f"{swhere}: missing note")
-        need(step["line"] >= prev,
-             f"{swhere}: trace lines must be in source order")
-        prev = step["line"]
-    need(trace[-1]["line"] == f["line"],
-         f"{where}: trace must end at the finding line {f['line']}, "
-         f"got {trace[-1]['line']}")
-
-
 def check_findings(doc):
     findings = doc.get("findings")
     need(isinstance(findings, list), "\"findings\" missing")
@@ -97,7 +65,6 @@ def check_findings(doc):
                  f"{where}: suppressed finding without a reason")
         else:
             active[f["rule"]] += 1
-        check_trace(f, where)
     return active
 
 
@@ -122,8 +89,8 @@ def check_unused(doc):
 
 
 def validate(doc):
-    need(doc.get("schema") == "takolint-v2",
-         "\"schema\" must be \"takolint-v2\"")
+    need(doc.get("schema") == "takolint-v3",
+         "\"schema\" must be \"takolint-v3\"")
     roots = doc.get("roots")
     need(isinstance(roots, list) and roots and
          all(isinstance(r, str) and r for r in roots),
@@ -167,12 +134,12 @@ def main():
     try:
         validate(doc)
     except Invalid as e:
-        print(f"{path}: invalid takolint-v2: {e}", file=sys.stderr)
+        print(f"{path}: invalid takolint-v3: {e}", file=sys.stderr)
         return 1
     total = sum(1 for f in doc["findings"] if not f["suppressed"])
     suppressed = len(doc["findings"]) - total
     mode = " [warn-only]" if doc["warn_only"] else ""
-    print(f"{path}: valid takolint-v2 ({doc['files_scanned']} files, "
+    print(f"{path}: valid takolint-v3 ({doc['files_scanned']} files, "
           f"{total} active findings, {suppressed} suppressed{mode})")
     return 0
 

@@ -1,9 +1,10 @@
 #include "mem/memory_system.hh"
 
 #include <algorithm>
+#include <cstdarg>
+#include <cstdio>
 
 #include "prof/profiler.hh"
-#include "sim/trace.hh"
 #include "sim/tracesink.hh"
 
 namespace tako
@@ -339,9 +340,12 @@ MemorySystem::access(AccessReq req)
     const bool l2_ok =
         w2 && (!need_m || w2->coh == Coh::E || w2->coh == Coh::M);
 
-    TRACE(Cache, eq_.now(), "tile %d %s %#llx %s L2", req.tile,
-          req.cmd == MemCmd::Load ? "ld" : "st/at",
-          (unsigned long long)line, l2_ok ? "hits" : "misses");
+    if (spans_) [[unlikely]] {
+        tileInstant(trace::Flag::Cache, l2_ok ? "l2_hit" : "l2_miss",
+                    req.tile, "{\"addr\":\"%#llx\",\"op\":\"%s\"}",
+                    (unsigned long long)line,
+                    req.cmd == MemCmd::Load ? "ld" : "st/at");
+    }
     if (l2_ok) {
         ++*l2Hits_;
         co_await Delay{eq_, params_.l2DataLat};
@@ -407,10 +411,8 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
         hBdCbWait_->sample(bd.callbackWait);
         hBdTotal_->sample(eq_.now() - start);
     }
-    if (trace::spanEnabled(trace::Flag::Mem)) {
-        trace::ChromeTraceWriter &w = *trace::spanSink();
-        w.ensureTrack(0, "memory", req.tile,
-                      strprintf("tile%d", req.tile));
+    if (trace::ChromeTraceWriter *w =
+            tileTrack(trace::Flag::Mem, req.tile)) {
         const char *name = "load";
         if (req.prefetch)
             name = "prefetch";
@@ -418,7 +420,7 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
             name = "store";
         else if (req.cmd != MemCmd::Load)
             name = "atomic";
-        w.completeEvent(
+        w->completeEvent(
             "mem", name, 0, req.tile, start, eq_.now() - start,
             strprintf("{\"addr\":\"%#llx\",\"engine\":%s,"
                       "\"cache\":%llu,\"noc\":%llu,\"lock_wait\":%llu,"
@@ -431,6 +433,21 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
                       (unsigned long long)bd.dram,
                       (unsigned long long)bd.callbackWait));
     }
+}
+
+void
+MemorySystem::tileInstant(trace::Flag f, const char *name, int tile,
+                          const char *args_fmt, ...)
+{
+    trace::ChromeTraceWriter *w = tileTrack(f, tile);
+    if (!w)
+        return;
+    char args[256];
+    va_list ap;
+    va_start(ap, args_fmt);
+    std::vsnprintf(args, sizeof(args), args_fmt, ap);
+    va_end(ap);
+    w->instantEvent(trace::flagName(f), name, 0, tile, eq_.now(), args);
 }
 
 Task<>
@@ -542,9 +559,11 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
                     if (!(others & (1u << s)))
                         continue;
                     ++*invalidations_;
-                    TRACE(Coherence, eq_.now(),
-                          "bank %d invalidates tile %u for %#llx", bank,
-                          s, (unsigned long long)line);
+                    if (spans_) [[unlikely]] {
+                        tileInstant(trace::Flag::Coherence, "invalidate",
+                                    bank, "{\"addr\":\"%#llx\",\"tile\":%u}",
+                                    (unsigned long long)line, s);
+                    }
                     join.add(1);
                     spawn(coherenceVisit(bank, static_cast<int>(s), line,
                                          false, &vdirty),
@@ -620,16 +639,14 @@ MemorySystem::dramFetch(int bank_tile, Addr line, LatBreakdown *bd)
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 8, bd);
     const Tick lat = ctrls_[c].access(eq_.now());
-    TRACE(Dram, eq_.now(), "read %#llx via ctrl %u",
-          (unsigned long long)line, c);
-    if (trace::spanEnabled(trace::Flag::Dram)) {
-        trace::ChromeTraceWriter &w = *trace::spanSink();
-        w.ensureTrack(2, "dram", static_cast<int>(c),
-                      strprintf("ctrl%u", c));
-        w.completeEvent("dram", "read", 2, static_cast<int>(c),
-                        eq_.now(), lat,
-                        strprintf("{\"addr\":\"%#llx\"}",
-                                  (unsigned long long)line));
+    if (trace::ChromeTraceWriter *w =
+            trace::recording(spans_, trace::Flag::Dram)) {
+        w->ensureTrack(2, "dram", static_cast<int>(c),
+                       strprintf("ctrl%u", c));
+        w->completeEvent("dram", "read", 2, static_cast<int>(c),
+                         eq_.now(), lat,
+                         strprintf("{\"addr\":\"%#llx\"}",
+                                   (unsigned long long)line));
     }
     ++*dramReads_;
     PhaseLane &pl = phaseLanes_[c];
@@ -650,14 +667,14 @@ MemorySystem::dramWritebackTask(int bank_tile, Addr line)
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 72);
     const Tick lat = ctrls_[c].access(eq_.now());
-    if (trace::spanEnabled(trace::Flag::Dram)) {
-        trace::ChromeTraceWriter &w = *trace::spanSink();
-        w.ensureTrack(2, "dram", static_cast<int>(c),
-                      strprintf("ctrl%u", c));
-        w.completeEvent("dram", "write", 2, static_cast<int>(c),
-                        eq_.now(), lat,
-                        strprintf("{\"addr\":\"%#llx\"}",
-                                  (unsigned long long)line));
+    if (trace::ChromeTraceWriter *w =
+            trace::recording(spans_, trace::Flag::Dram)) {
+        w->ensureTrack(2, "dram", static_cast<int>(c),
+                       strprintf("ctrl%u", c));
+        w->completeEvent("dram", "write", 2, static_cast<int>(c),
+                         eq_.now(), lat,
+                         strprintf("{\"addr\":\"%#llx\"}",
+                                   (unsigned long long)line));
     }
     ++*dramWrites_;
     PhaseLane &pl = phaseLanes_[c];
@@ -753,14 +770,14 @@ MemorySystem::allocL3Way(int bank_tile, Addr line, const MorphBinding *mb,
         // detached task holds the victim line's bank lock from this very
         // event, so a refetch of the victim cannot start — let alone
         // observe a stale phantom line — before the eviction retires.
-        spawn(evictL3Detached(bank_tile, snapL3Way(*victim)));
+        spawn(evictL3Detached(bank_tile, snapL3Way(bank_tile, *victim)));
     }
     b.l3.fill(*victim, line, mb != nullptr, mb ? mb->id : 0, engine_fill);
     co_return victim;
 }
 
 MemorySystem::L3Evict
-MemorySystem::snapL3Way(CacheWay &w)
+MemorySystem::snapL3Way(int bank, CacheWay &w)
 {
     ++*l3Evictions_;
     L3Evict ev;
@@ -769,9 +786,12 @@ MemorySystem::snapL3Way(CacheWay &w)
     ev.copies = w.sharers;
     if (w.owner >= 0)
         ev.copies |= 1u << static_cast<unsigned>(w.owner);
-    TRACE(Cache, eq_.now(), "bank evicts %#llx%s%s",
-          (unsigned long long)ev.line, ev.dirty ? " dirty" : "",
-          w.morph ? " morph" : "");
+    if (spans_) [[unlikely]] {
+        tileInstant(trace::Flag::Cache, "l3_evict", bank,
+                    "{\"addr\":\"%#llx\",\"dirty\":%s,\"morph\":%s}",
+                    (unsigned long long)ev.line, ev.dirty ? "true" : "false",
+                    w.morph ? "true" : "false");
+    }
     w.invalidate();
     return ev;
 }
@@ -867,9 +887,12 @@ MemorySystem::evictL2Way(int tile, CacheWay &w)
     TileState &t = *tiles_[tile];
     ++*l2Evictions_;
     const Addr line = w.lineAddr;
-    TRACE(Cache, eq_.now(), "tile %d evicts %#llx%s%s", tile,
-          (unsigned long long)line, w.dirty ? " dirty" : "",
-          w.morph ? " morph" : "");
+    if (spans_) [[unlikely]] {
+        tileInstant(trace::Flag::Cache, "l2_evict", tile,
+                    "{\"addr\":\"%#llx\",\"dirty\":%s,\"morph\":%s}",
+                    (unsigned long long)line, w.dirty ? "true" : "false",
+                    w.morph ? "true" : "false");
+    }
 
     // Inclusion: pull back L1 copies, merging dirtiness.
     for (CacheArray *l1 : {&t.l1, &t.engL1}) {
@@ -1021,8 +1044,11 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
 {
     const MorphBinding *mb = resolve(tile, addr);
     ++*rmoOps_;
-    TRACE(Rmo, eq_.now(), "tile %d rmoAdd %#llx += %llu", tile,
-          (unsigned long long)addr, (unsigned long long)delta);
+    if (spans_) [[unlikely]] {
+        tileInstant(trace::Flag::Rmo, "rmo_add", tile,
+                    "{\"addr\":\"%#llx\",\"delta\":%llu}",
+                    (unsigned long long)addr, (unsigned long long)delta);
+    }
     if (!mb || mb->level != MorphLevel::Shared) {
         // No shared Morph: execute as a local atomic through the caches.
         AccessReq r;
@@ -1123,8 +1149,9 @@ MemorySystem::flushMorphData(const MorphBinding &binding)
             for (Addr line : lines) {
                 co_await b.bankLocks.acquire(line);
                 if (CacheWay *w = b.l3.lookup(line))
-                    co_await evictL3Core(static_cast<int>(bank),
-                                         snapL3Way(*w));
+                    co_await evictL3Core(
+                        static_cast<int>(bank),
+                        snapL3Way(static_cast<int>(bank), *w));
                 b.bankLocks.release(line);
             }
         }
@@ -1180,7 +1207,7 @@ MemorySystem::flushRangePlain(Addr base, std::uint64_t length)
             co_await b.bankLocks.acquire(line);
             if (CacheWay *w = b.l3.lookup(line))
                 co_await evictL3Core(static_cast<int>(bank),
-                                     snapL3Way(*w));
+                                     snapL3Way(static_cast<int>(bank), *w));
             b.bankLocks.release(line);
         }
     }

@@ -41,6 +41,7 @@
 #include "mem/morph_types.hh"
 #include "noc/mesh.hh"
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
 #include "sim/tracesink.hh"
@@ -91,9 +92,9 @@ struct MemParams
     /**
      * Sample per-transaction latency breakdowns into mem.breakdown.*
      * histograms. Off by default: six histogram updates per demand
-     * access are measurable on the L1-hit fast path, so — like
-     * TAKO_TRACE and the time-series sampler — you pay only when you
-     * ask. takosim and the observability tests turn it on.
+     * access are measurable on the L1-hit fast path, so — like span
+     * tracing and the time-series sampler — you pay only when you ask.
+     * takosim and the observability tests turn it on.
      */
     bool latBreakdown = false;
 };
@@ -183,6 +184,10 @@ class MemorySystem
      * depends on it.
      */
     void setProfiler(prof::Profiler *p);
+
+    /** Record spans and instant events on @p w (nullptr: no tracing).
+     *  Purely observational, like the profiler. */
+    void setSpanWriter(trace::ChromeTraceWriter *w) { spans_ = w; }
 
     /**
      * Sum per-set heat across the arrays of @p level (1: core+engine
@@ -495,9 +500,9 @@ class MemorySystem
      */
     void evictL2Way(int tile, CacheWay &w);
 
-    /** Count the eviction, snapshot @p w for evictL3Core, and
-     *  invalidate the way. */
-    L3Evict snapL3Way(CacheWay &w);
+    /** Count the eviction, snapshot @p w (a way of @p bank's L3) for
+     *  evictL3Core, and invalidate the way. */
+    L3Evict snapL3Way(int bank, CacheWay &w);
 
     /**
      * Remove @p line from tile @p tile's private caches (L3 eviction or
@@ -534,13 +539,34 @@ class MemorySystem
     /**
      * True when some consumer wants per-access observability: either
      * breakdown histograms (MemParams::latBreakdown) or memory-
-     * transaction spans (a trace sink with Flag::Mem enabled). The
+     * transaction spans (a span writer recording Flag::Mem). The
      * L1-hit fast path skips all attribution work when this is false.
      */
     bool observing() const
     {
         return params_.latBreakdown ||
-               trace::spanEnabled(trace::Flag::Mem);
+               trace::recording(spans_, trace::Flag::Mem);
+    }
+
+    /**
+     * One instant event of category @p f named @p name on tile @p tile's
+     * memory track, its args object printf-formatted from @p args_fmt.
+     * Callers check spans_ inline first; out of line, the formatting
+     * adds nothing to the frames of the coroutines that call it.
+     */
+    void tileInstant(trace::Flag f, const char *name, int tile,
+                     const char *args_fmt, ...)
+        __attribute__((format(printf, 5, 6)));
+
+    /** The span writer, with tile @p tile's memory track named, when it
+     *  records @p f; else null. */
+    trace::ChromeTraceWriter *
+    tileTrack(trace::Flag f, int tile)
+    {
+        trace::ChromeTraceWriter *w = trace::recording(spans_, f);
+        if (w) [[unlikely]]
+            w->ensureTrack(0, "memory", tile, strprintf("tile%d", tile));
+        return w;
     }
 
     /** Stream-prefetcher bookkeeping; spawns prefetch transactions. */
@@ -557,6 +583,7 @@ class MemorySystem
     const MorphResolver *resolver_ = nullptr;
     CallbackSink *sink_ = nullptr;
     prof::Profiler *prof_ = nullptr;
+    trace::ChromeTraceWriter *spans_ = nullptr;
 
     BackingStore realStore_;
     BackingStore phantomStore_;

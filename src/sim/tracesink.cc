@@ -1,34 +1,73 @@
 #include "sim/tracesink.hh"
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
 #include <sstream>
 
+#include "sim/logging.hh"
 #include "sim/stats.hh" // json::writeString
 
 namespace tako::trace
 {
 
-namespace detail
+namespace
 {
-ChromeTraceWriter *g_spanSink = nullptr;
-std::uint32_t g_spanMask = 0;
-} // namespace detail
 
-void
-setSpanSink(ChromeTraceWriter *sink, std::uint32_t mask)
+/** Category names, indexed by flag bit position. */
+constexpr const char *kFlagNames[] = {"cache", "coherence", "engine",
+                                      "morph", "dram",      "rmo",
+                                      "mem"};
+static_assert(std::size(kFlagNames) ==
+                  static_cast<std::size_t>(Flag::NumFlags),
+              "one name per trace category");
+
+} // namespace
+
+const char *
+flagName(Flag f)
 {
-    detail::g_spanSink = sink;
-    detail::g_spanMask = sink ? (mask & allFlagsMask()) : 0;
+    return kFlagNames[std::countr_zero(static_cast<std::uint32_t>(f))];
 }
 
-ChromeTraceWriter::ChromeTraceWriter(std::ostream &os) : os_(os)
+bool
+parseSpec(const std::string &spec, std::uint32_t &mask, std::string &err)
+{
+    mask = 0;
+    std::size_t pos = 0;
+    while (pos < spec.size()) {
+        const std::size_t comma = spec.find(',', pos);
+        const std::string tok = spec.substr(
+            pos, comma == std::string::npos ? std::string::npos
+                                            : comma - pos);
+        const auto *it = std::find(std::begin(kFlagNames),
+                                   std::end(kFlagNames), tok);
+        if (tok == "all") {
+            mask = allFlagsMask();
+        } else if (it != std::end(kFlagNames)) {
+            mask |= 1u << (it - std::begin(kFlagNames));
+        } else if (!tok.empty()) {
+            err = "unknown trace category '" + tok + "' (valid:";
+            for (const char *n : kFlagNames)
+                err += std::string(" ") + n;
+            err += " all)";
+            return false;
+        }
+        if (comma == std::string::npos)
+            break;
+        pos = comma + 1;
+    }
+    return true;
+}
+
+ChromeTraceWriter::ChromeTraceWriter(std::ostream &os, std::uint32_t mask)
+    : os_(os), mask_(mask & allFlagsMask())
 {
     os_ << "[";
 }
 
 ChromeTraceWriter::~ChromeTraceWriter()
 {
-    if (detail::g_spanSink == this)
-        setSpanSink(nullptr);
     close();
 }
 

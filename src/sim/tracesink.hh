@@ -1,18 +1,20 @@
 /**
  * @file
- * Structured event-trace sink: Chrome trace-event format (JSON), one
- * event per line, directly loadable in Perfetto / chrome://tracing.
+ * The simulator's one trace channel: a Chrome trace-event (JSON) writer,
+ * one event per line, directly loadable in Perfetto / chrome://tracing.
  *
  * Spans (memory transactions, callback dispatch/retire, DRAM bursts) are
- * recorded as "complete" (ph:"X") events with the simulated tick as the
+ * recorded as "complete" (ph:"X") events and point occurrences (L2
+ * hits/misses, evictions, invalidations, RMOs, morph registrations) as
+ * instant (ph:"i") events, all with the simulated tick as the
  * timestamp; ticks render as microseconds in the viewer. Tracks are
- * organized as pid/tid pairs: pid 0 = per-tile memory transactions,
- * pid 1 = per-tile engines, pid 2 = memory controllers.
+ * organized as pid/tid pairs: pid 0 = per-tile memory, pid 1 = per-tile
+ * engines, pid 2 = memory controllers, pid 3 = the morph registry.
  *
- * A writer is installed process-wide with setSpanSink(); emission sites
- * gate on spanEnabled(flag), which is a single branch on a cached mask
- * (zero when no sink is installed), mirroring the TAKO_TRACE printf
- * path's disabled-mode cost.
+ * Each System owns its writer (SystemConfig::spanPath / spanMask) and
+ * hands it to its components; emission sites gate on recording(), a
+ * null check plus a mask test, so a System without a writer pays one
+ * branch per site.
  */
 
 #ifndef TAKO_SIM_TRACESINK_HH
@@ -23,23 +25,67 @@
 #include <set>
 #include <string>
 
-#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace tako::trace
 {
 
+/** Trace categories; a writer records the ones in its mask. */
+enum class Flag : std::uint32_t
+{
+    Cache = 1u << 0,     ///< L2 hits/misses, L2 and L3 evictions
+    Coherence = 1u << 1, ///< directory invalidations
+    Engine = 1u << 2,    ///< callback dispatch-to-retire spans
+    Morph = 1u << 3,     ///< morph registrations
+    Dram = 1u << 4,      ///< memory-controller read/write bursts
+    Rmo = 1u << 5,       ///< remote memory operations
+    Mem = 1u << 6,       ///< end-to-end memory transactions
+
+    /** Count of defined flags; must be last. parseSpec() and "all"
+     *  derive the set of valid bits from this sentinel, so adding a
+     *  flag above (and a name in tracesink.cc) is all it takes. */
+    NumFlags = 7,
+};
+
+/** Mask with every defined flag set ("all"). */
+constexpr std::uint32_t
+allFlagsMask()
+{
+    return (1u << static_cast<std::uint32_t>(Flag::NumFlags)) - 1;
+}
+
+/** The category's name in specs and in each event's "cat" field. */
+const char *flagName(Flag f);
+
+/**
+ * Parse a comma-separated category spec ("cache,engine" / "all") into
+ * @p mask (empty spec: no category). On an unknown category returns
+ * false and sets @p err to a message naming it and listing the valid
+ * ones.
+ */
+bool parseSpec(const std::string &spec, std::uint32_t &mask,
+               std::string &err);
+
 class ChromeTraceWriter
 {
   public:
-    /** Starts the JSON array; @p os must outlive the writer. */
-    explicit ChromeTraceWriter(std::ostream &os);
+    /** Starts the JSON array; @p os must outlive the writer. Records
+     *  the categories in @p mask. */
+    explicit ChromeTraceWriter(std::ostream &os,
+                               std::uint32_t mask = allFlagsMask());
 
     /** Closes the array (idempotent; also runs at destruction). */
     ~ChromeTraceWriter();
 
     ChromeTraceWriter(const ChromeTraceWriter &) = delete;
     ChromeTraceWriter &operator=(const ChromeTraceWriter &) = delete;
+
+    /** True while open and recording category @p f. */
+    bool
+    records(Flag f) const
+    {
+        return !closed_ && (mask_ & static_cast<std::uint32_t>(f)) != 0;
+    }
 
     /**
      * One complete-span event: [ts, ts+dur) on track (pid, tid).
@@ -70,6 +116,7 @@ class ChromeTraceWriter
                const std::string &args_json);
 
     std::ostream &os_;
+    std::uint32_t mask_;
     bool closed_ = false;
     bool first_ = true;
     std::uint64_t events_ = 0;
@@ -79,27 +126,12 @@ class ChromeTraceWriter
     std::set<int> processes_;
 };
 
-namespace detail
+/** @p w when it records category @p f, else null: the gate at every
+ *  emission site (a null writer means the System is not tracing). */
+inline ChromeTraceWriter *
+recording(ChromeTraceWriter *w, Flag f)
 {
-extern ChromeTraceWriter *g_spanSink;
-extern std::uint32_t g_spanMask;
-} // namespace detail
-
-/**
- * Install @p sink as the process-wide span sink for the categories in
- * @p mask (default: every category). Pass nullptr to uninstall. The
- * caller keeps ownership and must uninstall before destroying the sink.
- */
-void setSpanSink(ChromeTraceWriter *sink,
-                 std::uint32_t mask = allFlagsMask());
-
-inline ChromeTraceWriter *spanSink() { return detail::g_spanSink; }
-
-/** One-branch gate: true iff a sink is installed and @p f is enabled. */
-inline bool
-spanEnabled(Flag f)
-{
-    return (detail::g_spanMask & static_cast<std::uint32_t>(f)) != 0;
+    return w && w->records(f) ? w : nullptr;
 }
 
 } // namespace tako::trace

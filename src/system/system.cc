@@ -24,6 +24,7 @@ SystemConfig::forCores(unsigned cores)
 
 System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
 {
+    fatal_if(config_.mem.tiles == 0, "a system needs at least one tile");
     fatal_if(config_.mesh.dimX * config_.mesh.dimY != config_.mem.tiles,
              "mesh %ux%u does not cover %u tiles", config_.mesh.dimX,
              config_.mesh.dimY, config_.mem.tiles);
@@ -46,9 +47,22 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
                                                config_.engine, *mem_, eq_,
                                                stats_, *energy_);
     mem_->setCallbackSink(engines_.get());
+
+    // Observers (the takomon sink is the last, below): each is handed
+    // to the components it watches here, and none feeds back into the
+    // simulated timing or stats.
     if (config_.accessTracer)
         mem_->setAccessTracer(config_.accessTracer);
-
+    if (!config_.spanPath.empty()) {
+        spanFile_ = std::make_unique<std::ofstream>(config_.spanPath);
+        fatal_if(!*spanFile_, "cannot open span trace output '%s'",
+                 config_.spanPath.c_str());
+        spans_ = std::make_unique<trace::ChromeTraceWriter>(
+            *spanFile_, config_.spanMask);
+        mem_->setSpanWriter(spans_.get());
+        engines_->setSpanWriter(spans_.get());
+        registry_->setSpanWriter(spans_.get());
+    }
     if (config_.profile) {
         prof::ProfilerConfig pc;
         pc.tiles = config_.mem.tiles;
@@ -156,6 +170,11 @@ System::finishRun(std::chrono::steady_clock::time_point host_start,
 {
     fatal_if(monitor_ && !monitor_->finish(), "%s",
              monitor_->error().c_str());
+    if (spans_) {
+        spans_->close();
+        fatal_if(!*spanFile_, "write error on span trace output '%s'",
+                 config_.spanPath.c_str());
+    }
     stampHostStats(host_start);
     if (drained)
         postRunChecks();

@@ -9,6 +9,7 @@
 #define TAKO_SYSTEM_SYSTEM_HH
 
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
+#include "sim/tracesink.hh"
 #include "tako/engine.hh"
 #include "tako/registry.hh"
 
@@ -46,6 +48,13 @@ struct SystemConfig
      *  access (see MemorySystem::setAccessTracer). Observational only:
      *  installing it changes no simulated timing or stat. */
     std::function<void(Tick, const AccessReq &)> accessTracer;
+
+    /** Chrome trace-event output path (empty disables): spans and
+     *  instant events of the categories in @c spanMask, loadable in
+     *  Perfetto. Opened at construction, so a bad path fails before the
+     *  run; closed by the run epilogue. Observational only. */
+    std::string spanPath;
+    std::uint32_t spanMask = trace::allFlagsMask();
 
     /** Periodic counter sampling: snapshot every @c sampleInterval
      *  cycles into StatsRegistry::timeSeries() (0 disables). Patterns
@@ -143,8 +152,9 @@ class System
 
     /**
      * The one run epilogue of run() and runFor(), in order: close the
-     * takomon sink (write errors are fatal), stamp host.*, check for
-     * deadlocks and leaks (@p drained runs only), finalize the profiler.
+     * takomon sink and the span writer (write errors are fatal), stamp
+     * host.*, check for deadlocks and leaks (@p drained runs only),
+     * finalize the profiler.
      */
     void finishRun(std::chrono::steady_clock::time_point host_start,
                    bool drained);
@@ -153,6 +163,9 @@ class System
     EventQueue eq_;
     StatsRegistry stats_;
     Rng rng_;
+    // Ahead of the components that hold the writer, so it outlives them.
+    std::unique_ptr<std::ofstream> spanFile_;
+    std::unique_ptr<trace::ChromeTraceWriter> spans_;
     std::unique_ptr<EnergyModel> energy_;
     std::unique_ptr<Mesh> noc_;
     std::unique_ptr<MemorySystem> mem_;

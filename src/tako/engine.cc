@@ -4,7 +4,6 @@
 
 #include "prof/profiler.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 #include "sim/tracesink.hh"
 
 namespace tako
@@ -431,9 +430,6 @@ Engine::runCallback(Request req)
             ? "onMiss"
             : (req.kind == CallbackKind::Writeback ? "onWriteback"
                                                    : "onEviction");
-    TRACE(Engine, eq_.now(), "tile %d runs %s(%#llx) for '%s'", tile_,
-          kind_name, (unsigned long long)req.line,
-          morph.traits().name.c_str());
     const Tick body_start = eq_.now();
     switch (req.kind) {
       case CallbackKind::Miss:
@@ -475,10 +471,10 @@ Engine::runCallback(Request req)
         rec.total = eq_.now() - enqueued;
         prof_->callbackRetired(rec, eq_.now());
     }
-    if (trace::spanEnabled(trace::Flag::Engine)) {
-        trace::ChromeTraceWriter &w = *trace::spanSink();
-        w.ensureTrack(1, "engines", tile_, strprintf("tile%d", tile_));
-        w.completeEvent(
+    if (trace::ChromeTraceWriter *w =
+            trace::recording(spans_, trace::Flag::Engine)) {
+        w->ensureTrack(1, "engines", tile_, strprintf("tile%d", tile_));
+        w->completeEvent(
             "engine", kind_name, 1, tile_, enqueued, eq_.now() - enqueued,
             strprintf("{\"addr\":\"%#llx\",\"morph\":\"%s\","
                       "\"addr_wait\":%llu,\"dispatch\":%llu,"
@@ -490,8 +486,6 @@ Engine::runCallback(Request req)
                       (unsigned long long)xlate,
                       (unsigned long long)body));
     }
-    TRACE(Engine, eq_.now(), "tile %d retires callback on %#llx", tile_,
-          (unsigned long long)req.line);
     req.done();
 }
 

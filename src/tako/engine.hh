@@ -195,6 +195,9 @@ class Engine
     /** takoprof: observe callback lifecycle; null when profiling is off. */
     void setProfiler(prof::Profiler *p) { prof_ = p; }
 
+    /** Record callback spans on @p w; null when tracing is off. */
+    void setSpanWriter(trace::ChromeTraceWriter *w) { spans_ = w; }
+
   private:
     struct Request
     {
@@ -224,6 +227,7 @@ class Engine
     EngineCluster &cluster_;
 
     prof::Profiler *prof_ = nullptr;
+    trace::ChromeTraceWriter *spans_ = nullptr;
 
     Semaphore bufferSlots_;  ///< callback buffer entries
     Semaphore fabricSlots_;  ///< concurrent callbacks on the fabric
@@ -296,6 +300,13 @@ class EngineCluster : public CallbackSink
     {
         for (auto &e : engines_)
             e->setProfiler(p);
+    }
+
+    void
+    setSpanWriter(trace::ChromeTraceWriter *w)
+    {
+        for (auto &e : engines_)
+            e->setSpanWriter(w);
     }
 
   private:

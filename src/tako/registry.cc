@@ -1,6 +1,6 @@
 #include "tako/registry.hh"
 
-#include "sim/trace.hh"
+#include "sim/tracesink.hh"
 
 namespace tako
 {
@@ -21,11 +21,19 @@ MorphRegistry::insert(Morph &morph, MorphLevel level, Addr base,
     b.hasWriteback = t.hasWriteback;
     b.base = base;
     b.length = size;
-    TRACE(Morph, 0, "register '%s' %s %s [%#llx, +%llu) id %u",
-          t.name.c_str(),
-          level == MorphLevel::Private ? "PRIVATE" : "SHARED",
-          phantom ? "phantom" : "real", (unsigned long long)base,
-          (unsigned long long)size, b.id);
+    if (trace::ChromeTraceWriter *w =
+            trace::recording(spans_, trace::Flag::Morph)) {
+        w->ensureTrack(3, "morphs", 0, "registry");
+        w->instantEvent(
+            "morph", "register", 3, 0, eq_.now(),
+            strprintf("{\"morph\":\"%s\",\"level\":\"%s\","
+                      "\"phantom\":%s,\"base\":\"%#llx\","
+                      "\"size\":%llu,\"id\":%u}",
+                      t.name.c_str(),
+                      level == MorphLevel::Private ? "private" : "shared",
+                      phantom ? "true" : "false", (unsigned long long)base,
+                      (unsigned long long)size, b.id));
+    }
     storage_.push_back(b);
     const MorphBinding *mb = &storage_.back();
     const bool ok = master_.insert(base, size, mb);

@@ -97,6 +97,9 @@ class MorphRegistry : public MorphResolver
 
     std::size_t numRegistered() const { return master_.size(); }
 
+    /** Record registrations on @p w; null when tracing is off. */
+    void setSpanWriter(trace::ChromeTraceWriter *w) { spans_ = w; }
+
   private:
     /** One tile's rTLB replica; written only by apply messages executing
      *  at that tile, read only by events executing there. */
@@ -119,6 +122,7 @@ class MorphRegistry : public MorphResolver
 
     MemorySystem &mem_;
     EventQueue &eq_;
+    trace::ChromeTraceWriter *spans_ = nullptr;
 
     // Master state: touched only by events executing at tile 0.
     IntervalMap<const MorphBinding *> master_;

@@ -653,8 +653,21 @@ TEST(ExptEndToEnd, EnsembleIsIdenticalAtEveryLaneCount)
         GTEST_SKIP() << "takosim binary not found next to tests";
 
     // Three replicas on one lane and on three concurrent lanes, plus the
-    // plain run replica 0 must reproduce, plus a bare --shards=3.
+    // plain run replica 0 must reproduce, plus a bare --shards=3, plus
+    // an observed ensemble and the observed single run it must match.
     const std::string scratch = makeScratch();
+    auto observers = [&](const std::string &name) {
+        return std::vector<std::string>{
+            "--mon-every=2000", "--mon-out=" + scratch + "/" + name +
+                                    ".takomon",
+            "--profile=", "--trace-out=" + scratch + "/" + name +
+                              ".trace.json"};
+    };
+    auto with = [](std::vector<std::string> a,
+                   const std::vector<std::string> &b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+    };
     auto cmd = [&](const std::string &name,
                    std::vector<std::string> extra) {
         RunCommand c;
@@ -673,9 +686,12 @@ TEST(ExptEndToEnd, EnsembleIsIdenticalAtEveryLaneCount)
         cmd("lanes3", {"--replicate=3", "--shards=3"}),
         cmd("single", {}),
         cmd("shards_alone", {"--shards=3"}),
+        cmd("observed3", with({"--replicate=3", "--shards=3"},
+                              observers("observed3"))),
+        cmd("observed_single", observers("observed_single")),
     };
     const auto out = runAll(cmds, 2);
-    for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t i : {0, 1, 2, 4, 5})
         ASSERT_EQ(out[i].status, RunStatus::Ok) << out[i].name;
 
     const auto one = simulatedMetrics(cmds[0].outputJson);
@@ -699,6 +715,65 @@ TEST(ExptEndToEnd, EnsembleIsIdenticalAtEveryLaneCount)
     const std::string text((std::istreambuf_iterator<char>(log)),
                            std::istreambuf_iterator<char>());
     EXPECT_NE(text.find("--replicate"), std::string::npos) << text;
+
+    // Observers watch replica 0 and change no model stat: the observed
+    // ensemble equals the plain one apart from prof.*, and its takomon
+    // file is the single observed run's, byte for byte.
+    auto observed = simulatedMetrics(cmds[4].outputJson);
+    std::erase_if(observed, [](const auto &kv) {
+        return kv.first.rfind("prof.", 0) == 0;
+    });
+    EXPECT_EQ(observed, three);
+    const auto bytes = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string mon = bytes(scratch + "/observed3.takomon");
+    EXPECT_FALSE(mon.empty());
+    EXPECT_EQ(mon, bytes(scratch + "/observed_single.takomon"));
+    EXPECT_FALSE(bytes(scratch + "/observed3.trace.json").empty());
+}
+
+TEST(ExptEndToEnd, MalformedFlagsExitTwoNamingTheFlag)
+{
+    const std::string takosim = siblingTakosim();
+    if (takosim.empty())
+        GTEST_SKIP() << "takosim binary not found next to tests";
+
+    // Each bad value must be a usage error that names the flag (or, for
+    // a trace category, lists the valid ones), never a crash or a
+    // silently defaulted run.
+    const std::string scratch = makeScratch();
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--cores=0", "--cores"},          {"--cores=abc", "--cores"},
+        {"--cores=4x", "--cores"},         {"--mon-every=abc", "--mon-every"},
+        {"--seed=", "--seed"},             {"--l2=-1", "--l2"},
+        {"--replicate=2junk", "--replicate"},
+        {"--trace-mask=bogus", "valid: cache"},
+        {"--trace-mask=noc", "valid: cache"},
+    };
+    std::vector<RunCommand> cmds;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        RunCommand c;
+        c.name = "bad" + std::to_string(i);
+        c.outputJson = scratch + "/" + c.name + ".json";
+        c.logPath = scratch + "/" + c.name + ".log";
+        c.timeoutSec = 60;
+        c.retries = 0;
+        c.argv = {takosim, "--workload=decompress", cases[i].first,
+                  "--stats-json=" + c.outputJson};
+        cmds.push_back(c);
+    }
+    const auto out = runAll(cmds, 2);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(out[i].exitCode, 2) << cases[i].first;
+        std::ifstream log(cmds[i].logPath);
+        const std::string text((std::istreambuf_iterator<char>(log)),
+                               std::istreambuf_iterator<char>());
+        EXPECT_NE(text.find(cases[i].second), std::string::npos)
+            << cases[i].first << ": " << text;
+    }
 }
 
 } // namespace

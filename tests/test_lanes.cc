@@ -48,3 +48,9 @@ TEST(SystemDeathTest, ShardsAboveOneFailLoudly)
     cfg.shards = 4;
     EXPECT_DEATH({ System sys(cfg); }, "one event queue");
 }
+
+TEST(SystemDeathTest, ZeroTilesFailLoudly)
+{
+    SystemConfig cfg = SystemConfig::forCores(0);
+    EXPECT_DEATH({ System sys(cfg); }, "at least one tile");
+}

@@ -2,21 +2,27 @@
  * @file
  * Tests for the observability layer: JSON stats export, the periodic
  * time-series sampler, per-transaction latency breakdowns, the Chrome
- * trace-event sink, and the event-queue/trace/stats fixes that came with
- * them (runUntil time advance, histogram parameter checking, trace-mask
+ * trace-event sink, observer purity (no observer changes a simulated
+ * stat), and the event-queue/trace/stats fixes that came with them
+ * (runUntil time advance, histogram parameter checking, trace-mask
  * parsing derived from Flag::NumFlags).
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <sstream>
 
+#include "mon/reader.hh"
 #include "mon/sink.hh"
 #include "sim/tracesink.hh"
 #include "system/system.hh"
 #include "workloads/common.hh"
+#include "workloads/pagerank_push.hh"
 
 using namespace tako;
 
@@ -289,22 +295,37 @@ TEST(Stats, DumpJsonEscapesAwkwardNames)
 
 TEST(Trace, ParseSpecCoversAllDefinedFlags)
 {
-    EXPECT_EQ(trace::parseSpec("all"), trace::allFlagsMask());
-    EXPECT_EQ(trace::parseSpec("cache"),
+    auto parse = [](const std::string &spec) {
+        std::uint32_t mask = 0;
+        std::string err;
+        EXPECT_TRUE(trace::parseSpec(spec, mask, err)) << err;
+        return mask;
+    };
+    EXPECT_EQ(parse("all"), trace::allFlagsMask());
+    EXPECT_EQ(parse("cache"),
               static_cast<std::uint32_t>(trace::Flag::Cache));
-    // "mem" sits above the old hardcoded 1u << 6 bound.
-    EXPECT_EQ(trace::parseSpec("mem"),
-              static_cast<std::uint32_t>(trace::Flag::Mem));
-    EXPECT_EQ(trace::parseSpec("cache,dram"),
+    EXPECT_EQ(parse("mem"), static_cast<std::uint32_t>(trace::Flag::Mem));
+    EXPECT_EQ(parse("cache,dram"),
               static_cast<std::uint32_t>(trace::Flag::Cache) |
                   static_cast<std::uint32_t>(trace::Flag::Dram));
-    EXPECT_EQ(trace::parseSpec("bogus"), 0u);
-    EXPECT_EQ(trace::parseSpec(nullptr), 0u);
-    // Every defined bit resolves to a real name (no "?" holes below
-    // NumFlags).
+    EXPECT_EQ(parse(""), 0u);
+    // Every defined bit has a name, and "all" is exactly those bits.
+    EXPECT_EQ(parse("cache,coherence,engine,morph,dram,rmo,mem"),
+              trace::allFlagsMask());
     EXPECT_EQ(trace::allFlagsMask(),
               (1u << static_cast<std::uint32_t>(trace::Flag::NumFlags)) -
                   1);
+    // An unknown category fails, naming it and every valid one. "noc"
+    // had no emission site and is not a category.
+    for (const char *bad : {"bogus", "noc", "cache,bogus"}) {
+        std::uint32_t mask = 0;
+        std::string err;
+        EXPECT_FALSE(trace::parseSpec(bad, mask, err)) << bad;
+        EXPECT_NE(err.find("valid: cache coherence engine morph dram rmo "
+                           "mem all"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 // -------------------------------------------------------------------
@@ -492,39 +513,81 @@ TEST(TraceSink, WriterEmitsValidJson)
     EXPECT_EQ(payload, 4u);
 }
 
-TEST(TraceSink, SpanGatingIsMaskBased)
+namespace
 {
-    EXPECT_FALSE(trace::spanEnabled(trace::Flag::Mem));
-    std::ostringstream os;
-    trace::ChromeTraceWriter w(os);
-    trace::setSpanSink(&w,
-                       static_cast<std::uint32_t>(trace::Flag::Cache));
-    EXPECT_TRUE(trace::spanEnabled(trace::Flag::Cache));
-    EXPECT_FALSE(trace::spanEnabled(trace::Flag::Dram));
-    trace::setSpanSink(nullptr);
-    EXPECT_FALSE(trace::spanEnabled(trace::Flag::Cache));
+
+std::string
+readText(const std::string &path)
+{
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
 }
 
-TEST(TraceSink, SystemRunProducesSpans)
+/** A one-core line sweep on a System tracing the categories in
+ *  @p mask; returns the trace document it wrote. */
+std::string
+tracedSweep(std::uint32_t mask)
 {
-    std::ostringstream os;
+    // Per-mask file: ctest may run the tests that call this in parallel.
+    const std::string path = ::testing::TempDir() + "tako_spans_" +
+                             std::to_string(mask) + ".json";
+    SystemConfig cfg = smallConfig();
+    cfg.spanPath = path;
+    cfg.spanMask = mask;
     {
-        trace::ChromeTraceWriter w(os);
-        trace::setSpanSink(&w);
-        System sys(smallConfig());
+        System sys(cfg);
         sys.addThread(0, [&](Guest &g) -> Task<> {
             for (Addr a = 0x40000; a < 0x41000; a += 64)
                 co_await g.load(a);
         });
         sys.run();
-        trace::setSpanSink(nullptr);
-        EXPECT_GT(w.eventsWritten(), 0u);
-        w.close();
+        // The run epilogue closed the document: it parses while the
+        // System is still alive.
+        EXPECT_TRUE(JsonChecker(readText(path)).valid());
     }
-    EXPECT_TRUE(JsonChecker(os.str()).valid());
-    // Memory spans and DRAM bursts both appear.
-    EXPECT_NE(os.str().find("\"name\":\"load\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"name\":\"read\""), std::string::npos);
+    std::string doc = readText(path);
+    std::remove(path.c_str());
+    return doc;
+}
+
+} // namespace
+
+TEST(TraceSink, SpanGatingIsMaskBased)
+{
+    EXPECT_EQ(trace::recording(nullptr, trace::Flag::Mem), nullptr);
+    std::ostringstream os;
+    trace::ChromeTraceWriter w(
+        os, static_cast<std::uint32_t>(trace::Flag::Cache));
+    EXPECT_EQ(trace::recording(&w, trace::Flag::Cache), &w);
+    EXPECT_EQ(trace::recording(&w, trace::Flag::Dram), nullptr);
+    w.close();
+    EXPECT_EQ(trace::recording(&w, trace::Flag::Cache), nullptr);
+
+    // A System's spanMask selects what its components emit.
+    const std::string dram =
+        tracedSweep(static_cast<std::uint32_t>(trace::Flag::Dram));
+    EXPECT_NE(dram.find("\"cat\":\"dram\""), std::string::npos);
+    EXPECT_EQ(dram.find("\"cat\":\"mem\""), std::string::npos);
+    EXPECT_EQ(dram.find("\"cat\":\"cache\""), std::string::npos);
+}
+
+TEST(TraceSink, SystemRunProducesSpans)
+{
+    const std::string doc = tracedSweep(trace::allFlagsMask());
+    // Memory spans, DRAM bursts and L2 instant events all appear.
+    EXPECT_NE(doc.find("\"name\":\"load\""), std::string::npos);
+    EXPECT_NE(doc.find("\"name\":\"read\""), std::string::npos);
+    EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
+    EXPECT_NE(doc.find("\"name\":\"l2_miss\""), std::string::npos);
+}
+
+TEST(TraceSinkDeathTest, UnopenablePathFailsAtConstruction)
+{
+    SystemConfig cfg = smallConfig();
+    cfg.spanPath = "/nonexistent-dir/spans.json";
+    EXPECT_EXIT({ System sys(cfg); }, ::testing::ExitedWithCode(1),
+                "cannot open span trace output");
 }
 
 // -------------------------------------------------------------------
@@ -579,5 +642,148 @@ TEST(SystemSampling, ConfigDrivenTimeSeries)
     for (std::size_t j = 0; j < cols; ++j) {
         for (std::size_t i = 1; i < ts.numSamples(); ++i)
             EXPECT_GE(ts.samples[i][j], ts.samples[i - 1][j]);
+    }
+}
+
+// -------------------------------------------------------------------
+// Observer purity: each observer alone leaves every simulated counter
+// and histogram exactly as a run with no observer.
+// -------------------------------------------------------------------
+
+namespace
+{
+
+/** PHI push on four tiles with tiny caches: engine callbacks, RMO
+ *  scatter-updates, evictions, coherence and DRAM traffic. */
+RunMetrics
+runPurityWorkload(SystemConfig cfg)
+{
+    PagerankPushConfig pc;
+    pc.graph.numVertices = 4096;
+    pc.graph.avgDegree = 8;
+    pc.graph.communitySize = 128;
+    pc.threads = 4;
+    pc.regionVertices = 512;
+    return runPagerankPush(PushVariant::Phi, pc, cfg);
+}
+
+SystemConfig
+purityConfig()
+{
+    SystemConfig cfg = SystemConfig::forCores(4);
+    cfg.mem.l1Size = 2 * 1024;
+    cfg.mem.l2Size = 8 * 1024;
+    cfg.mem.l3BankSize = 32 * 1024;
+    cfg.mem.latBreakdown = true;
+    return cfg;
+}
+
+/** Every model stat of @p m: counters and histograms outside host.*
+ *  (wall clock) and prof.* (exists only when profiled), plus cycles,
+ *  energy and the workload's outcome metrics. */
+std::map<std::string, std::vector<double>>
+modelStats(const RunMetrics &m)
+{
+    auto model = [](const std::string &n) {
+        return n.rfind("host.", 0) != 0 && n.rfind("prof.", 0) != 0;
+    };
+    std::map<std::string, std::vector<double>> out;
+    for (const auto &[name, c] : m.stats->counters())
+        if (model(name))
+            out[name] = {c.value()};
+    for (const auto &[name, h] : m.stats->histograms()) {
+        if (!model(name))
+            continue;
+        std::vector<double> v{static_cast<double>(h.count()), h.sum(),
+                              static_cast<double>(h.max())};
+        v.insert(v.end(), h.buckets().begin(), h.buckets().end());
+        out["hist." + name] = std::move(v);
+    }
+    for (const auto &[name, x] : m.extra)
+        if (model(name))
+            out["extra." + name] = {x};
+    out["cycles"] = {static_cast<double>(m.cycles)};
+    out["energy"] = {m.energy};
+    return out;
+}
+
+/** One observer: runs the purity workload with it installed (writing
+ *  any file to @p scratch) and checks it really observed the run. */
+struct ObserverRow
+{
+    const char *name;
+    RunMetrics (*run)(const std::string &scratch);
+};
+
+const ObserverRow kObserverRows[] = {
+    {"takoprof",
+     [](const std::string &) {
+         SystemConfig cfg = purityConfig();
+         cfg.profile = true;
+         RunMetrics m = runPurityWorkload(cfg);
+         EXPECT_TRUE(m.prof);
+         EXPECT_GT(m.stats->get("prof.cb.count"), 0.0);
+         return m;
+     }},
+    {"spans",
+     [](const std::string &scratch) {
+         SystemConfig cfg = purityConfig();
+         cfg.spanPath = scratch;
+         cfg.spanMask = trace::allFlagsMask();
+         RunMetrics m = runPurityWorkload(cfg);
+         const std::string doc = readText(scratch);
+         EXPECT_TRUE(JsonChecker(doc).valid());
+         for (const char *cat : {"mem", "cache", "engine", "morph", "dram",
+                                 "rmo"}) {
+             EXPECT_NE(doc.find(std::string("\"cat\":\"") + cat + "\""),
+                       std::string::npos)
+                 << cat;
+         }
+         return m;
+     }},
+    {"access_tracer",
+     [](const std::string &) {
+         static std::uint64_t traced;
+         traced = 0;
+         SystemConfig cfg = purityConfig();
+         cfg.accessTracer = [](Tick, const AccessReq &) { ++traced; };
+         RunMetrics m = runPurityWorkload(cfg);
+         EXPECT_GT(traced, 0u);
+         return m;
+     }},
+    {"takomon",
+     [](const std::string &scratch) {
+         SystemConfig cfg = purityConfig();
+         cfg.sampleInterval = 500;
+         cfg.monPath = scratch;
+         RunMetrics m = runPurityWorkload(cfg);
+         mon::MonReader r;
+         EXPECT_TRUE(r.open(scratch)) << r.error();
+         EXPECT_GT(r.sampleCount(), 0u);
+         EXPECT_EQ(r.interval(), Tick{500});
+         return m;
+     }},
+};
+
+} // namespace
+
+TEST(ObserverPurity, EachObserverAloneChangesNoModelStat)
+{
+    const auto unobserved = modelStats(runPurityWorkload(purityConfig()));
+    for (const ObserverRow &row : kObserverRows) {
+        SCOPED_TRACE(row.name);
+        const std::string scratch =
+            ::testing::TempDir() + "tako_purity_" + row.name;
+        const RunMetrics m = row.run(scratch);
+        std::remove(scratch.c_str());
+        ASSERT_EQ(m.extra.at("correct"), 1.0);
+
+        const auto observed = modelStats(m);
+        for (const auto &[name, v] : unobserved) {
+            const auto it = observed.find(name);
+            ASSERT_NE(it, observed.end()) << name;
+            EXPECT_EQ(it->second, v) << name;
+        }
+        EXPECT_EQ(observed.size(), unobserved.size());
     }
 }

@@ -15,13 +15,15 @@
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "gitrev.hh"
@@ -54,7 +56,7 @@ struct Options
     bool profileSet = false;
     std::string folded;
     std::string traceOut;
-    std::string traceMask = "all";
+    std::uint32_t traceMask = trace::allFlagsMask();
     Tick sampleEvery = 0;
     std::vector<std::string> samplePatterns;
     std::string monOut;   ///< takomon-v1 binary series output
@@ -107,8 +109,9 @@ usage(int code)
         "                     (flamegraph.pl input; implies profiling)\n"
         "  --trace-out=FILE   write a Chrome trace-event JSON file\n"
         "                     (loadable in Perfetto / chrome://tracing)\n"
-        "  --trace-mask=SPEC  span categories for --trace-out; same names\n"
-        "                     as TAKO_TRACE (default: all)\n"
+        "  --trace-mask=SPEC  categories for --trace-out, comma-separated:\n"
+        "                     cache, coherence, engine, morph, dram,\n"
+        "                     rmo, mem, or all (default: all)\n"
         "  --mon-every=N      sample counters/histograms every N cycles\n"
         "                     into the time series exported by\n"
         "                     --stats-json and --mon-out\n"
@@ -131,9 +134,10 @@ usage(int code)
         "  --replicate=N      run N replicas at seeds seed..seed+N-1\n"
         "                     across min(shards, N) host lanes; output\n"
         "                     is replica 0 plus ens.* aggregates and is\n"
-        "                     identical at any lane count (incompatible\n"
-        "                     with --profile/--folded/--trace-out/\n"
-        "                     --mon-*/--progress/--trace-record)\n"
+        "                     identical at any lane count; the observer\n"
+        "                     flags (--profile, --folded, --trace-out,\n"
+        "                     --mon-*, --progress, --trace-record)\n"
+        "                     watch replica 0\n"
         "  --list-workloads   print workloads and their variants\n"
         "  --version          print the git revision, build type and "
         "C++ flags\n"
@@ -157,10 +161,23 @@ listWorkloads(int code = 0)
     std::exit(code);
 }
 
+/** The value of numeric flag @p key, or exit 2 naming the flag: a
+ *  malformed number must not become a silent 0 or a truncated value. */
 std::uint64_t
-parseNum(const std::string &v)
+parseNum(const std::string &key, const std::string &v,
+         std::uint64_t max = UINT64_MAX)
 {
-    return std::strtoull(v.c_str(), nullptr, 0);
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t n = std::strtoull(v.c_str(), &end, 0);
+    if (v.empty() || v[0] == '-' || v[0] == '+' || *end != '\0' ||
+        errno == ERANGE || n > max) {
+        std::fprintf(stderr,
+                     "takosim: %s expects an unsigned integer, got '%s'\n",
+                     key.c_str(), v.c_str());
+        std::exit(2);
+    }
+    return n;
 }
 
 Options
@@ -192,19 +209,19 @@ parse(int argc, char **argv)
         else if (key == "--trace-record")
             o.traceRecord = val;
         else if (key == "--cores")
-            o.cores = static_cast<unsigned>(parseNum(val));
+            o.cores = static_cast<unsigned>(parseNum(key, val, UINT_MAX));
         else if (key == "--l1")
-            o.l1 = parseNum(val);
+            o.l1 = parseNum(key, val);
         else if (key == "--l2")
-            o.l2 = parseNum(val);
+            o.l2 = parseNum(key, val);
         else if (key == "--l3bank")
-            o.l3bank = parseNum(val);
+            o.l3bank = parseNum(key, val);
         else if (key == "--vertices")
-            o.vertices = parseNum(val);
+            o.vertices = parseNum(key, val);
         else if (key == "--txbytes")
-            o.txBytes = parseNum(val);
+            o.txBytes = parseNum(key, val);
         else if (key == "--seed")
-            o.seed = parseNum(val);
+            o.seed = parseNum(key, val);
         else if (key == "--stats")
             o.dumpStats = true;
         else if (key == "--stats-json")
@@ -216,22 +233,28 @@ parse(int argc, char **argv)
             o.folded = val;
         else if (key == "--trace-out")
             o.traceOut = val;
-        else if (key == "--trace-mask")
-            o.traceMask = val;
-        else if (key == "--mon-every")
-            o.sampleEvery = parseNum(val);
+        else if (key == "--trace-mask") {
+            std::string err;
+            if (!trace::parseSpec(val, o.traceMask, err)) {
+                std::fprintf(stderr, "takosim: --trace-mask: %s\n",
+                             err.c_str());
+                std::exit(2);
+            }
+        } else if (key == "--mon-every")
+            o.sampleEvery = parseNum(key, val);
         else if (key == "--mon-out")
             o.monOut = val;
         else if (key == "--progress")
-            o.progressEvery = val.empty() ? 1000000 : parseNum(val);
+            o.progressEvery = val.empty() ? 1000000 : parseNum(key, val);
         else if (key == "--log-json")
             o.logJson = val;
         else if (key == "--shards") {
-            o.shards = static_cast<unsigned>(parseNum(val));
+            o.shards = static_cast<unsigned>(parseNum(key, val, UINT_MAX));
             if (o.shards == 0)
                 o.shards = 1;
         } else if (key == "--replicate") {
-            o.replicate = static_cast<unsigned>(parseNum(val));
+            o.replicate =
+                static_cast<unsigned>(parseNum(key, val, UINT_MAX));
             if (o.replicate == 0)
                 o.replicate = 1;
         } else if (key == "--mon-sample") {
@@ -259,6 +282,10 @@ parse(int argc, char **argv)
         }
     }
 
+    if (o.cores == 0) {
+        std::fprintf(stderr, "takosim: --cores must be at least 1\n");
+        std::exit(2);
+    }
     // Flag hygiene: the trace file *is* the workload, so combining it
     // with an explicit --workload/--variant is a contradiction, not a
     // precedence puzzle.
@@ -290,13 +317,13 @@ parse(int argc, char **argv)
 
 /**
  * Run one replica of the selected workload at @p seed on a copy of
- * @p sys. Builds its own System and touches no process-global state,
- * so ensemble lanes may call it concurrently (main() forbids the
- * global-sink features — tracing, profiling, sampling — whenever more
- * than one replica runs).
+ * @p sys. Builds its own System, which owns every observer @p sys
+ * configures, so ensemble lanes may call it concurrently. Only the
+ * @p observed replica re-records a replayed trace.
  */
 RunMetrics
-runOne(const Options &o, SystemConfig sys, std::uint64_t seed)
+runOne(const Options &o, SystemConfig sys, std::uint64_t seed,
+       bool observed)
 {
     sys.seed = seed;
     const WorkloadEntry *w = findWorkload(o.workload);
@@ -323,7 +350,7 @@ runOne(const Options &o, SystemConfig sys, std::uint64_t seed)
     req.vertices = o.vertices;
     req.txBytes = o.txBytes;
     req.tracePath = o.trace;
-    req.traceRecordPath = o.traceRecord;
+    req.traceRecordPath = observed ? o.traceRecord : "";
     std::string err;
     RunMetrics m = w->run(req, sys, err);
     if (!err.empty()) {
@@ -366,10 +393,22 @@ main(int argc, char **argv)
         sys.mem.l2Size = o.l2;
     if (o.l3bank)
         sys.mem.l3BankSize = o.l3bank;
-    sys.sampleInterval = o.sampleEvery;
-    sys.samplePatterns = o.samplePatterns;
-    sys.monPath = o.monOut;
-    sys.progressEvery = o.progressEvery;
+    // takosim exists to inspect runs; always collect the mem.breakdown.*
+    // latency attribution (benches leave it off to keep the hot path
+    // lean — see MemParams::latBreakdown).
+    sys.mem.latBreakdown = true;
+
+    // The observed copy adds every observer; the run takosim reports
+    // (replica 0 of an ensemble) uses it, and the other replicas run
+    // the plain config.
+    SystemConfig observed = sys;
+    observed.sampleInterval = o.sampleEvery;
+    observed.samplePatterns = o.samplePatterns;
+    observed.monPath = o.monOut;
+    observed.progressEvery = o.progressEvery;
+    observed.profile = o.profileSet || !o.folded.empty();
+    observed.spanPath = o.traceOut;
+    observed.spanMask = o.traceMask;
     if (!o.monOut.empty() && o.sampleEvery == 0) {
         std::fprintf(stderr,
                      "takosim: --mon-out=FILE requires --mon-every=N "
@@ -392,7 +431,7 @@ main(int argc, char **argv)
                       {"shards", static_cast<double>(o.shards)}});
         if (o.progressEvery > 0) {
             // Beats go to the human stderr line AND the structured log.
-            sys.onBeat = [](const mon::ProgressBeat &b) {
+            observed.onBeat = [](const mon::ProgressBeat &b) {
                 mon::printProgressBeat(b);
                 jsonLogEvent(
                     "progress", {},
@@ -404,25 +443,6 @@ main(int argc, char **argv)
             };
         }
     }
-    // takosim exists to inspect runs; always collect the mem.breakdown.*
-    // latency attribution (benches leave it off to keep the hot path
-    // lean — see MemParams::latBreakdown).
-    sys.mem.latBreakdown = true;
-    sys.profile = o.profileSet || !o.folded.empty();
-    if (o.replicate > 1 &&
-        (sys.profile || !o.traceOut.empty() || o.sampleEvery > 0 ||
-         !o.samplePatterns.empty() || !o.traceRecord.empty() ||
-         !o.monOut.empty() || o.progressEvery > 0)) {
-        std::fprintf(stderr,
-                     "takosim: --replicate=%u is incompatible with "
-                     "--profile/--folded/--trace-out/--mon-every/"
-                     "--mon-sample/--mon-out/--progress/--trace-record "
-                     "(they write through process-global or "
-                     "single-file sinks; replicas run concurrently)\n",
-                     o.replicate);
-        return 2;
-    }
-
     // Open output files up front so a bad path fails before the run,
     // not after minutes of simulation.
     std::ofstream statsJsonFile;
@@ -453,26 +473,9 @@ main(int argc, char **argv)
         }
     }
 
-    // The span sink must be live before the workload constructs and runs
-    // its System; it is closed (terminating the JSON array) after the run.
-    std::ofstream traceFile;
-    std::unique_ptr<trace::ChromeTraceWriter> traceWriter;
-    if (!o.traceOut.empty()) {
-        traceFile.open(o.traceOut);
-        if (!traceFile) {
-            std::fprintf(stderr, "takosim: cannot open '%s'\n",
-                         o.traceOut.c_str());
-            return 1;
-        }
-        traceWriter =
-            std::make_unique<trace::ChromeTraceWriter>(traceFile);
-        trace::setSpanSink(traceWriter.get(),
-                           trace::parseSpec(o.traceMask.c_str()));
-    }
-
     RunMetrics m;
     if (o.replicate == 1) {
-        m = runOne(o, sys, o.seed);
+        m = runOne(o, observed, o.seed, true);
         if (o.workload == "primeprobe") {
             std::printf("detected      : %s\n",
                         m.extra["primeprobe.detected"] != 0 ? "yes"
@@ -487,8 +490,9 @@ main(int argc, char **argv)
         std::vector<RunMetrics> reps(o.replicate);
         std::vector<std::function<void()>> jobs;
         for (unsigned i = 0; i < o.replicate; ++i) {
-            jobs.push_back([&o, &sys, &reps, i] {
-                reps[i] = runOne(o, sys, o.seed + i);
+            jobs.push_back([&o, &sys, &observed, &reps, i] {
+                reps[i] = runOne(o, i == 0 ? observed : sys, o.seed + i,
+                                 i == 0);
             });
         }
         runLanes(std::min(o.shards, o.replicate), jobs);
@@ -521,13 +525,9 @@ main(int argc, char **argv)
             .set(dramTotal);
     }
 
-    if (traceWriter) {
-        trace::setSpanSink(nullptr);
-        traceWriter->close();
-        std::fprintf(stderr, "takosim: wrote %llu trace events to %s\n",
-                     (unsigned long long)traceWriter->eventsWritten(),
+    if (!o.traceOut.empty())
+        std::fprintf(stderr, "takosim: wrote Chrome trace to %s\n",
                      o.traceOut.c_str());
-    }
 
     // Keep stdout machine-readable when any JSON/folded output goes
     // there: the human report moves to stderr.

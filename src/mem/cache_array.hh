@@ -60,13 +60,13 @@ struct CacheWay
     bool prefetched = false;
     Coh coh = Coh::I;
     std::uint8_t rrpv = 0;
+    /** L3-only directory state: the exclusive owner's tile, or -1. */
+    std::int8_t owner = -1;
     std::uint64_t lastUse = 0;
     /** Morph id for flush walks; 0 if none. */
     std::uint32_t morphId = 0;
-
-    // L3-only directory state.
-    std::uint32_t sharers = 0;
-    std::int8_t owner = -1;
+    /** L3-only directory state: bit t set = tile t holds a copy. */
+    std::uint64_t sharers = 0;
 
     void
     invalidate()
@@ -83,6 +83,9 @@ struct CacheWay
         owner = -1;
     }
 };
+// Every cache line of every tile is one CacheWay; keep the 64-tile
+// sharer mask from growing it.
+static_assert(sizeof(CacheWay) == 40);
 
 class CacheArray
 {

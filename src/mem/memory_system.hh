@@ -159,6 +159,9 @@ struct LatBreakdown
 class MemorySystem
 {
   public:
+    /** The L3 directory tracks sharers in one 64-bit mask per line. */
+    static constexpr unsigned maxTiles = 64;
+
     /**
      * @p eq must be keyed (EventQueue::enableStreamKeys): every
      * inter-tile movement (NoC walks, directory messages, DRAM pinning)
@@ -433,7 +436,7 @@ class MemorySystem
     {
         Addr line = 0;
         bool dirty = false;
-        std::uint32_t copies = 0; ///< sharers | owner bit
+        std::uint64_t copies = 0; ///< sharers | owner bit
     };
 
     /**

@@ -258,9 +258,6 @@ class StatsRegistry
     StatsTimeSeries &timeSeries() { return timeseries_; }
     const StatsTimeSeries &timeSeries() const { return timeseries_; }
 
-    /** Append one time-series sample: timeseries_.names read at @p tick. */
-    void recordSample(Tick tick);
-
     void dump(std::ostream &os) const;
 
     /**

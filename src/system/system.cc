@@ -25,6 +25,9 @@ SystemConfig::forCores(unsigned cores)
 System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
 {
     fatal_if(config_.mem.tiles == 0, "a system needs at least one tile");
+    fatal_if(config_.mem.tiles > MemorySystem::maxTiles,
+             "%u tiles: the L3 directory tracks at most %u",
+             config_.mem.tiles, MemorySystem::maxTiles);
     fatal_if(config_.mesh.dimX * config_.mesh.dimY != config_.mem.tiles,
              "mesh %ux%u does not cover %u tiles", config_.mesh.dimX,
              config_.mesh.dimY, config_.mem.tiles);

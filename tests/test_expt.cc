@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "expt/report.hh"
 #include "expt/runner.hh"
 #include "expt/spec.hh"
+#include "sim/logging.hh"
 
 using namespace tako::expt;
 
@@ -113,6 +116,31 @@ TEST(ExptJson, ReportsErrorsWithLineNumbers)
 
     EXPECT_TRUE(Json::parse("", &err).isNull());
     EXPECT_FALSE(err.empty());
+}
+
+TEST(ExptJson, RunLogLinesParseWithNonFiniteFields)
+{
+    // --log-json shares the stats writers: a NaN or infinite field is
+    // null, not a bare `nan` that no JSON reader accepts.
+    const std::string path = makeScratch() + "/run.jsonl";
+    ASSERT_TRUE(tako::setJsonLog(path));
+    tako::jsonLogEvent("probe", {{"msg", "a \"quoted\"\n\tline"}},
+                       {{"ratio", std::nan("")},
+                        {"rate", std::numeric_limits<double>::infinity()},
+                        {"n", 3}});
+    ASSERT_TRUE(tako::setJsonLog(""));
+
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    std::string err;
+    const Json doc = Json::parse(line, &err);
+    ASSERT_TRUE(err.empty()) << err << ": " << line;
+    EXPECT_EQ(doc["event"].asString(), "probe");
+    EXPECT_EQ(doc["msg"].asString(), "a \"quoted\"\n\tline");
+    EXPECT_TRUE(doc["ratio"].isNull());
+    EXPECT_TRUE(doc["rate"].isNull());
+    EXPECT_EQ(doc["n"].asNumber(), 3);
 }
 
 // ---------------------------------------------------------------- Spec
@@ -573,9 +601,9 @@ TEST(ExptRunner, ParallelismPreservesOrderAndResults)
 
 // -------------------------------------- end-to-end with real binaries
 
-/** build/tests/<this binary> -> build/tools/takosim, if built. */
+/** build/tests/<this binary> -> build/tools/@p tool, if built. */
 std::string
-siblingTakosim()
+siblingTool(const std::string &tool)
 {
     char buf[PATH_MAX];
     const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
@@ -585,7 +613,7 @@ siblingTakosim()
     std::string dir(buf);
     const auto slash = dir.rfind('/');
     dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-    const std::string candidate = dir + "/../tools/takosim";
+    const std::string candidate = dir + "/../tools/" + tool;
     return ::access(candidate.c_str(), X_OK) == 0 ? candidate : "";
 }
 
@@ -606,7 +634,7 @@ simulatedMetrics(const std::string &path)
 
 TEST(ExptEndToEnd, SameSpecSameSeedIdenticalMetricsAcrossJobLevels)
 {
-    const std::string takosim = siblingTakosim();
+    const std::string takosim = siblingTool("takosim");
     if (takosim.empty())
         GTEST_SKIP() << "takosim binary not found next to tests";
 
@@ -648,7 +676,7 @@ TEST(ExptEndToEnd, SameSpecSameSeedIdenticalMetricsAcrossJobLevels)
 
 TEST(ExptEndToEnd, EnsembleIsIdenticalAtEveryLaneCount)
 {
-    const std::string takosim = siblingTakosim();
+    const std::string takosim = siblingTool("takosim");
     if (takosim.empty())
         GTEST_SKIP() << "takosim binary not found next to tests";
 
@@ -737,21 +765,57 @@ TEST(ExptEndToEnd, EnsembleIsIdenticalAtEveryLaneCount)
 
 TEST(ExptEndToEnd, MalformedFlagsExitTwoNamingTheFlag)
 {
-    const std::string takosim = siblingTakosim();
-    if (takosim.empty())
-        GTEST_SKIP() << "takosim binary not found next to tests";
+    const std::string takosim = siblingTool("takosim");
+    const std::string tracegen = siblingTool("takotracegen");
+    const std::string takobench = siblingTool("takobench");
+    if (takosim.empty() || tracegen.empty() || takobench.empty())
+        GTEST_SKIP() << "tool binaries not found next to tests";
 
     // Each bad value must be a usage error that names the flag (or, for
     // a trace category, lists the valid ones), never a crash or a
     // silently defaulted run.
     const std::string scratch = makeScratch();
-    const std::vector<std::pair<std::string, std::string>> cases = {
-        {"--cores=0", "--cores"},          {"--cores=abc", "--cores"},
-        {"--cores=4x", "--cores"},         {"--mon-every=abc", "--mon-every"},
-        {"--seed=", "--seed"},             {"--l2=-1", "--l2"},
-        {"--replicate=2junk", "--replicate"},
-        {"--trace-mask=bogus", "valid: cache"},
-        {"--trace-mask=noc", "valid: cache"},
+    const std::string trace = scratch + "/gen.takotrace";
+    struct Case
+    {
+        std::vector<std::string> argv;
+        std::string needle;
+    };
+    const std::vector<Case> cases = {
+        {{takosim, "--workload=decompress", "--cores=0"}, "--cores"},
+        {{takosim, "--workload=decompress", "--cores=abc"}, "--cores"},
+        {{takosim, "--workload=decompress", "--cores=4x"}, "--cores"},
+        {{takosim, "--workload=decompress", "--cores=65"}, "--cores"},
+        {{takosim, "--workload=decompress", "--mon-every=abc"},
+         "--mon-every"},
+        {{takosim, "--workload=decompress", "--seed="}, "--seed"},
+        {{takosim, "--workload=decompress", "--l2=-1"}, "--l2"},
+        {{takosim, "--workload=decompress", "--replicate=2junk"},
+         "--replicate"},
+        {{takosim, "--workload=decompress", "--trace-mask=bogus"},
+         "valid: cache"},
+        {{takosim, "--workload=decompress", "--trace-mask=noc"},
+         "valid: cache"},
+        {{tracegen, "--kind=kv", "--records=10x", "--tenants=-3",
+          "--out=" + trace},
+         "--records"},
+        {{tracegen, "--kind=kv", "--records=abc", "--out=" + trace},
+         "--records"},
+        {{tracegen, "--kind=kv", "--tenants=-3", "--out=" + trace},
+         "--tenants"},
+        {{tracegen, "--kind=kv", "--tenants=4294967296", "--out=" + trace},
+         "--tenants"},
+        {{tracegen, "--kind=kv", "--store-frac=0.5x", "--out=" + trace},
+         "--store-frac"},
+        {{tracegen, "--kind=kv", "--theta=", "--out=" + trace}, "--theta"},
+        {{takobench, "specs/quick.json", "-jabc", "--list"},
+         "takobench: -j"},
+        {{takobench, "specs/quick.json", "-j", "-2", "--list"},
+         "takobench: -j"},
+        {{takobench, "specs/quick.json", "-j0", "--list"},
+         "takobench: -j"},
+        {{takobench, "specs/quick.json", "--progress=abc", "--list"},
+         "takobench: --progress"},
     };
     std::vector<RunCommand> cmds;
     for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -761,19 +825,32 @@ TEST(ExptEndToEnd, MalformedFlagsExitTwoNamingTheFlag)
         c.logPath = scratch + "/" + c.name + ".log";
         c.timeoutSec = 60;
         c.retries = 0;
-        c.argv = {takosim, "--workload=decompress", cases[i].first,
-                  "--stats-json=" + c.outputJson};
+        c.argv = cases[i].argv;
+        if (c.argv[0] == takosim)
+            c.argv.push_back("--stats-json=" + c.outputJson);
         cmds.push_back(c);
     }
     const auto out = runAll(cmds, 2);
     for (std::size_t i = 0; i < cases.size(); ++i) {
-        EXPECT_EQ(out[i].exitCode, 2) << cases[i].first;
+        std::string what;
+        for (const std::string &a : cases[i].argv)
+            what += a + " ";
+        EXPECT_EQ(out[i].exitCode, 2) << what;
         std::ifstream log(cmds[i].logPath);
         const std::string text((std::istreambuf_iterator<char>(log)),
                                std::istreambuf_iterator<char>());
-        EXPECT_NE(text.find(cases[i].second), std::string::npos)
-            << cases[i].first << ": " << text;
+        EXPECT_NE(text.find(cases[i].needle), std::string::npos)
+            << what << ": " << text;
     }
+    // A rejected takotracegen run leaves no trace file behind, also when
+    // a well-formed value is refused only after the output is open.
+    EXPECT_NE(::access(trace.c_str(), F_OK), 0);
+    RunCommand zero = cmds.front();
+    zero.name = "zero-records";
+    zero.logPath = scratch + "/zero-records.log";
+    zero.argv = {tracegen, "--kind=kv", "--records=0", "--out=" + trace};
+    EXPECT_EQ(runAll({zero}, 1)[0].exitCode, 1);
+    EXPECT_NE(::access(trace.c_str(), F_OK), 0);
 }
 
 } // namespace

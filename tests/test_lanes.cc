@@ -54,3 +54,9 @@ TEST(SystemDeathTest, ZeroTilesFailLoudly)
     SystemConfig cfg = SystemConfig::forCores(0);
     EXPECT_DEATH({ System sys(cfg); }, "at least one tile");
 }
+
+TEST(SystemDeathTest, MoreTilesThanTheDirectoryTracksFailLoudly)
+{
+    SystemConfig cfg = SystemConfig::forCores(MemorySystem::maxTiles + 1);
+    EXPECT_DEATH({ System sys(cfg); }, "tracks at most 64");
+}

@@ -334,3 +334,49 @@ TEST(MemorySystem, EnergyAccumulates)
     EXPECT_GT(sys.stats().get("energy.dram"), 0.0);
     EXPECT_GT(sys.stats().get("energy.core"), 0.0);
 }
+
+TEST(MemorySystem, DirectoryTracksTilesPast32)
+{
+    // 6x6 mesh (Fig. 25's 36 cores): tile 33's sharer bit must not
+    // alias tile 1's. Tiles 33 and 1 read a line, tile 1 drops its copy,
+    // then tile 2 stores: the store must invalidate tile 33's copy.
+    SystemConfig cfg = SystemConfig::forCores(36);
+    cfg.mem.l1Size = 1024;
+    cfg.mem.l2Size = 4 * 1024;
+    cfg.mem.prefetchEnable = false;
+    System sys(cfg);
+    const Addr line = 0x100000;
+    int phase = 0;
+    auto waitFor = [&](Guest &g, int p) -> Task<> {
+        while (phase < p)
+            co_await g.exec(64);
+    };
+    sys.addThread(33, [&](Guest &g) -> Task<> {
+        co_await g.load(line);
+        phase = 1;
+    });
+    sys.addThread(1, [&](Guest &g) -> Task<> {
+        co_await waitFor(g, 1);
+        co_await g.load(line);
+        // Stream 4x the L2 through tile 1 so the line falls out; the
+        // directory clear travels to the home bank as a message.
+        for (Addr a = 0; a < 16 * 1024; a += lineBytes)
+            co_await g.load(0x800000 + a);
+        co_await g.exec(1000);
+        phase = 2;
+    });
+    bool heldBeforeStore = false;
+    bool droppedBeforeStore = false;
+    sys.addThread(2, [&](Guest &g) -> Task<> {
+        co_await waitFor(g, 2);
+        heldBeforeStore = sys.mem().cachedInL2(33, line);
+        droppedBeforeStore = !sys.mem().cachedInL2(1, line);
+        co_await g.store(line, 42);
+    });
+    sys.run();
+    ASSERT_TRUE(heldBeforeStore);
+    ASSERT_TRUE(droppedBeforeStore);
+    EXPECT_FALSE(sys.mem().cachedInL2(33, line));
+    EXPECT_TRUE(sys.mem().cachedInL2(2, line));
+    sys.mem().checkInvariants();
+}

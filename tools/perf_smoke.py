@@ -1,32 +1,25 @@
 #!/usr/bin/env python3
-"""Kernel perf smoke: microbench + one profiled takosim run -> BENCH_perf.json.
+"""Ensemble-speedup gate: 1-lane vs 4-lane --replicate runs -> BENCH_perf.json.
 
 Usage: tools/perf_smoke.py [--bin-dir build] [--out BENCH_perf.json]
-                           [--quick]
+                           [--allow-untrusted]
 
-Runs the kernel microbenchmarks (event-queue schedule/fire throughput,
-coroutine spawn/resume) and one end-to-end profiled takosim run, then
-merges both into a single "takoperf-v1" JSON artifact. CI uploads the
-artifact per commit so events/sec has a trajectory; feed one or more of
-these files to tools/plot_results.py to render the trend.
+Wall-times a four-replica takosim ensemble at one and at four host
+lanes in PAIRS alternating pairs, records every pair, and fails if the
+median pair speedup is below MIN_SHARD_SPEEDUP. Per-layer host time is
+takoperf's job (takoperf/run.py). Feed one or more of the "takoperf-v1"
+artifacts to tools/plot_results.py to render the speedup trend.
 
-Exit status is non-zero if a child fails or the ensemble-speedup gate
-fails.
-
-Perf numbers are only comparable between trusted artifacts: a Release
-build of a clean (committed) tree. The build type and C++ flags come from
-``takosim --version``, which stamps the project's own CMake configuration
-(not the distro google-benchmark library's). Anything else — a
-Debug/RelWithDebInfo binary, unoptimized or sanitized flags, a ``-dirty``
-working tree — is refused by default; pass
-``--allow-untrusted`` to emit the artifact anyway, loudly tagged with
-``"untrusted": true`` and the reasons, with every perf gate skipped so
-meaningless numbers can neither pass nor fail a gate (and so
-plot_results.py / future regression tooling can exclude them).
+Only a Release build of a clean commit is trusted, as read from
+``takosim --version``. Anything else (another build type, unoptimized
+or sanitized flags, a ``-dirty`` tree) is refused, unless
+``--allow-untrusted`` is given: then the artifact is tagged
+``"untrusted": true`` with the reasons, and the gate is skipped.
 """
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -36,7 +29,9 @@ import time
 # enforced when the host actually has >= 4 CPUs: on smaller runners the
 # lanes time-share and the measurement is meaningless.
 MIN_SHARD_SPEEDUP = 2.0
-KERNEL_FILTER = "BM_EventQueue|BM_Coroutine"
+# Alternating (1-lane, 4-lane) pairs; the gate reads their median
+# speedup, so one pair landing in a slow host phase cannot fail it.
+PAIRS = 3
 
 
 def build_info(bin_dir):
@@ -77,59 +72,7 @@ def trust_problems(info):
     return problems
 
 
-def run_microbench(bin_dir, quick):
-    exe = os.path.join(bin_dir, "bench", "micro_kernels")
-    out = os.path.join(bin_dir, "micro_kernels_perf.json")
-    cmd = [
-        exe,
-        f"--benchmark_filter={KERNEL_FILTER}",
-        "--benchmark_format=json",
-        f"--benchmark_out={out}",
-        "--benchmark_out_format=json",
-    ]
-    if not quick:
-        # Plain double: this google-benchmark build rejects "0.2s".
-        cmd.append("--benchmark_min_time=0.2")
-    subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-    doc = json.load(open(out))
-    benches = {}
-    for b in doc.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        benches[b["name"]] = {
-            "items_per_second": b.get("items_per_second", 0.0),
-            "cpu_time_ns": b.get("cpu_time", 0.0),
-        }
-    return doc.get("context", {}), benches
-
-
-def run_takosim(bin_dir, quick):
-    exe = os.path.join(bin_dir, "tools", "takosim")
-    stats = os.path.join(bin_dir, "perf_smoke_stats.json")
-    prof = os.path.join(bin_dir, "perf_smoke_prof.json")
-    cmd = [
-        exe,
-        "--workload=decompress",
-        "--variant=tako",
-        f"--stats-json={stats}",
-        f"--profile={prof}",
-    ]
-    env = dict(os.environ)
-    if quick:
-        env["TAKO_QUICK"] = "1"
-    subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL, env=env)
-    doc = json.load(open(stats))
-    return {
-        "workload": "decompress",
-        "variant": "tako",
-        "host_seconds": doc.get("host_seconds", 0.0),
-        "sim_events": doc.get("sim_events", 0.0),
-        "events_per_sec": doc.get("events_per_sec", 0.0),
-        "git_rev": doc.get("git_rev", "unknown"),
-    }, prof
-
-
-def run_shard_ensemble(bin_dir, quick):
+def run_shard_ensemble(bin_dir):
     """Wall-time a 16-tile nightly-sized ensemble at 1 vs. 4 lanes.
 
     Determinism is gated elsewhere (test_expt's ensemble test, the TSan
@@ -140,104 +83,31 @@ def run_shard_ensemble(bin_dir, quick):
     # phi at 16k vertices is the nightly-sized 16-tile run: long enough
     # (~seconds per replica) that lane scheduling, not process startup,
     # dominates the measurement.
-    base = [
-        exe,
-        "--workload=phi",
-        "--variant=tako",
-        "--cores=16",
-        "--vertices=16384",
-        "--replicate=4",
-    ]
-    env = dict(os.environ)
-    if quick:
-        env["TAKO_QUICK"] = "1"
-    walls = {}
-    for shards in (1, 4):
+    base = [exe, "--workload=phi", "--variant=tako", "--cores=16",
+            "--vertices=16384", "--replicate=4"]
+
+    def wall(shards):
         start = time.monotonic()
         subprocess.run(base + [f"--shards={shards}"], check=True,
-                       stdout=subprocess.DEVNULL, env=env)
-        walls[shards] = time.monotonic() - start
+                       stdout=subprocess.DEVNULL)
+        return time.monotonic() - start
+
+    pairs = []
+    for _ in range(PAIRS):
+        one, four = wall(1), wall(4)
+        pairs.append({
+            "wall_sec_shards1": one,
+            "wall_sec_shards4": four,
+            "speedup": one / four if four > 0 else 0.0,
+        })
     return {
         "workload": "phi",
         "variant": "tako",
         "cores": 16,
         "vertices": 16384,
         "replicas": 4,
-        "wall_sec_shards1": walls[1],
-        "wall_sec_shards4": walls[4],
-        "speedup": walls[1] / walls[4] if walls[4] > 0 else 0.0,
-        "host_cpus": os.cpu_count() or 1,
-    }
-
-
-def run_trace_codec(bin_dir, quick):
-    """Trace-frontend throughput: takotracegen encode, decode (dump to
-    /dev/null), and full replay through the memory hierarchy, all in
-    records/sec on a generated kv trace. Informational — the artifact
-    gives the decoder a trajectory; no gate, since the codec is nowhere
-    near the simulation bottleneck.
-    """
-    gen = os.path.join(bin_dir, "tools", "takotracegen")
-    sim = os.path.join(bin_dir, "tools", "takosim")
-    trace = os.path.join(bin_dir, "perf_smoke_trace.takotrace")
-    records = 50_000 if quick else 500_000
-
-    start = time.monotonic()
-    subprocess.run(
-        [gen, "--kind=kv", f"--records={records}", "--tenants=16",
-         f"--out={trace}"],
-        check=True, stderr=subprocess.DEVNULL)
-    encode_sec = time.monotonic() - start
-
-    start = time.monotonic()
-    subprocess.run([gen, f"--dump={trace}"], check=True,
-                   stdout=subprocess.DEVNULL)
-    decode_sec = time.monotonic() - start
-
-    stats = os.path.join(bin_dir, "perf_smoke_trace_stats.json")
-    start = time.monotonic()
-    subprocess.run(
-        [sim, f"--trace={trace}", f"--stats-json={stats}"],
-        check=True, stdout=subprocess.DEVNULL)
-    replay_sec = time.monotonic() - start
-
-    return {
-        "kind": "kv",
-        "records": records,
-        "file_bytes": os.path.getsize(trace),
-        "encode_records_per_sec":
-            records / encode_sec if encode_sec > 0 else 0.0,
-        "decode_records_per_sec":
-            records / decode_sec if decode_sec > 0 else 0.0,
-        "replay_records_per_sec":
-            records / replay_sec if replay_sec > 0 else 0.0,
-    }
-
-
-def run_lint_cold(bin_dir):
-    """Wall-time one cold takolint run over src/ (every rule, full
-    cross-file index). Informational — no gate; the artifact gives the
-    analyzer's cost a per-commit trajectory so a quadratic slip shows
-    up as a trend, not a CI timeout.
-    Returns None when the binary isn't in this build (e.g. --quick
-    bench-only trees).
-    """
-    exe = os.path.join(bin_dir, "tools", "takolint", "takolint")
-    if not os.path.exists(exe):
-        return None
-    start = time.monotonic()
-    proc = subprocess.run([exe, "src"], capture_output=True, text=True)
-    wall = time.monotonic() - start
-    files = 0
-    for tok in proc.stdout.split():
-        if tok.isdigit():
-            files = int(tok)
-            break
-    return {
-        "wall_sec": wall,
-        "files_scanned": files,
-        "files_per_sec": files / wall if wall > 0 else 0.0,
-        "exit_code": proc.returncode,
+        "pairs": pairs,
+        "speedup": statistics.median(p["speedup"] for p in pairs),
     }
 
 
@@ -245,12 +115,10 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--bin-dir", default="build")
     ap.add_argument("--out", default="BENCH_perf.json")
-    ap.add_argument("--quick", action="store_true",
-                    help="short benchmark reps + quick-mode takosim")
     ap.add_argument("--allow-untrusted", action="store_true",
                     help="emit an artifact even from a non-Release "
                     "build or a -dirty tree, tagged untrusted and with "
-                    "every perf gate skipped")
+                    "the gate skipped")
     args = ap.parse_args()
 
     build = build_info(args.bin_dir)
@@ -261,35 +129,17 @@ def main():
         print("perf_smoke: perf numbers from such a build are not "
               "comparable; rebuild with -DCMAKE_BUILD_TYPE=Release on "
               "a clean commit, or pass --allow-untrusted to emit a "
-              "tagged artifact with the gates skipped", file=sys.stderr)
+              "tagged artifact with the gate skipped", file=sys.stderr)
         return 1
 
-    context, benches = run_microbench(args.bin_dir, args.quick)
-    takosim, prof_path = run_takosim(args.bin_dir, args.quick)
-
-    shard = run_shard_ensemble(args.bin_dir, args.quick)
-    trace = run_trace_codec(args.bin_dir, args.quick)
-    lint = run_lint_cold(args.bin_dir)
-
-    schedule = benches.get("BM_EventQueueSchedule", {}) \
-                      .get("items_per_second", 0)
-
+    shard = run_shard_ensemble(args.bin_dir)
+    host_cpus = os.cpu_count() or 1
     report = {
         "schema": "takoperf-v1",
-        "git_rev": takosim["git_rev"],
-        "host": {
-            "cpu": context.get("host_name", ""),
-            "num_cpus": context.get("num_cpus", 0),
-            "mhz_per_cpu": context.get("mhz_per_cpu", 0),
-        },
         "build": build,
-        "benchmarks": benches,
-        "takosim": takosim,
+        "host_cpus": host_cpus,
         "shard_ensemble": shard,
-        "trace_codec": trace,
     }
-    if lint is not None:
-        report["lint_cold_run"] = lint
     if problems:
         report["untrusted"] = True
         report["untrusted_reasons"] = problems
@@ -297,35 +147,23 @@ def main():
         json.dump(report, f, indent=2)
         f.write("\n")
 
+    walls = ", ".join(f"{p['wall_sec_shards1']:.2f}s/"
+                      f"{p['wall_sec_shards4']:.2f}s"
+                      for p in shard["pairs"])
     print(f"perf_smoke: {build['build_type']} build "
-          f"({build['cxx_flags']}), schedule/fire "
-          f"{schedule / 1e6:.1f} M/s, takosim "
-          f"{takosim['events_per_sec'] / 1e6:.2f} M events/s "
-          f"-> {args.out}")
-    if os.path.exists(prof_path):
-        print(f"perf_smoke: profiled run wrote {prof_path}")
-    print(f"perf_smoke: shard ensemble 4x16-tile replicas "
-          f"{shard['wall_sec_shards1']:.2f}s at 1 lane, "
-          f"{shard['wall_sec_shards4']:.2f}s at 4 lanes "
-          f"({shard['speedup']:.2f}x, {shard['host_cpus']} host CPUs)")
-    print(f"perf_smoke: trace codec ({trace['records']} kv records) "
-          f"encode {trace['encode_records_per_sec'] / 1e6:.1f} M/s, "
-          f"decode {trace['decode_records_per_sec'] / 1e6:.1f} M/s, "
-          f"replay {trace['replay_records_per_sec'] / 1e3:.0f} K/s")
-    if lint is not None:
-        print(f"perf_smoke: takolint cold run over src/ "
-              f"{lint['wall_sec']:.2f}s ({lint['files_scanned']} files, "
-              f"{lint['files_per_sec']:.0f} files/s)")
+          f"({build['cxx_flags']}), shard ensemble 4x16-tile replicas "
+          f"at 1/4 lanes: {walls} (median {shard['speedup']:.2f}x, "
+          f"{host_cpus} host CPUs) -> {args.out}")
     if problems:
         for p in problems:
             print(f"perf_smoke: UNTRUSTED: {p}", file=sys.stderr)
         print(f"perf_smoke: artifact {args.out} tagged untrusted; perf "
-              f"gates skipped", file=sys.stderr)
+              f"gate skipped", file=sys.stderr)
         return 0
-    if shard["host_cpus"] >= 4 and shard["speedup"] < MIN_SHARD_SPEEDUP:
-        print(f"perf_smoke: FAIL: shard-ensemble speedup "
+    if host_cpus >= 4 and shard["speedup"] < MIN_SHARD_SPEEDUP:
+        print(f"perf_smoke: FAIL: median shard-ensemble speedup "
               f"{shard['speedup']:.2f}x < required {MIN_SHARD_SPEEDUP}x "
-              f"on a {shard['host_cpus']}-CPU host", file=sys.stderr)
+              f"on a {host_cpus}-CPU host", file=sys.stderr)
         return 1
     return 0
 

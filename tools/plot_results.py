@@ -11,15 +11,15 @@ Accepts the legacy text capture of the bench binaries' stdout (the
 "=== Fig. N ===" tables), a takobench suite report (BENCH_<suite>.json,
 schema "takobench-v1"), a takoprof profile (takosim --profile, schema
 "takoprof-v1"), a takomon telemetry file (takosim --mon-out, format
-takomon-v1), or one or more perf-smoke artifacts (tools/perf_smoke.py,
-schema "takoperf-v1"); the format is sniffed from the file contents.
+takomon-v1), or one or more ensemble-speedup artifacts
+(tools/perf_smoke.py, schema "takoperf-v1"); the format is sniffed from
+the file contents.
 Bench inputs get one PNG per figure/run with the variants' leading
 metric; takoprof inputs get a NoC
 link-utilization heatmap and a per-engine occupancy chart; takomon
 inputs get a time-series chart of the most active counters; takoperf
-inputs get an events/sec trend and an ensemble-speedup trend across the
-given files (in argument order, labelled by git rev — pass the
-artifacts oldest-first).
+inputs get an ensemble-speedup trend across the given files (in
+argument order, labelled by git rev — pass the artifacts oldest-first).
 
 Missing or empty input files are skipped with a warning rather than
 aborting the batch — perf history directories legitimately start out
@@ -30,6 +30,20 @@ import json
 import os
 import re
 import sys
+
+
+NO_MATPLOTLIB = "matplotlib not available; printed summaries only"
+
+
+def pyplot():
+    """matplotlib.pyplot on the Agg backend; None without matplotlib."""
+    try:
+        import matplotlib
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
+    except ImportError:
+        return None
+    return plt
 
 
 def parse_text(path):
@@ -119,17 +133,14 @@ def plot_takoprof(doc, outdir):
     noc = doc.get("noc", {})
     tile_busy = noc.get("tile_busy") or []
     engines = doc.get("engines") or []
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
+    plt = pyplot()
+    if plt is None:
         for row in tile_busy:
             print(" ".join(f"{v:>10}" for v in row))
         for e in engines:
             print(f"tile {e.get('tile')}: peak occupancy "
                   f"{e.get('peak_occupancy')}")
-        print("matplotlib not available; printed summaries only")
+        print(NO_MATPLOTLIB)
         return
 
     wrote = 0
@@ -177,17 +188,14 @@ def plot_takomon(doc, outdir, top=8):
               max(doc["columns"][i]) > min(doc["columns"][i])]
     stem = re.sub(r"\W+", "_",
                   os.path.splitext(os.path.basename(doc["path"]))[0])
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
+    plt = pyplot()
+    if plt is None:
         print(f"{doc['path']}: {len(names)} series, "
               f"{len(ticks)} samples")
         for i in picked:
             col = doc["columns"][i]
             print(f"  {names[i]}: first {col[0]:g} last {col[-1]:g}")
-        print("matplotlib not available; printed summaries only")
+        print(NO_MATPLOTLIB)
         return
 
     fig, ax = plt.subplots(figsize=(8, 4))
@@ -204,93 +212,52 @@ def plot_takomon(doc, outdir, top=8):
     print(f"wrote takomon series chart to {outdir}/takomon_{stem}.png")
 
 
-def plot_suite(doc, outdir):
-    """Bar chart per run from a takobench doc."""
-    sections = parse_suite(doc)
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        for name, rows in sections.items():
-            print(f"{name}: {len(rows)} rows")
-        print("matplotlib not available; printed summaries only")
-        return
-
-    wrote = plot_sections(sections, outdir, plt)
-    print(f"wrote {wrote} charts to {outdir}")
-
-
 def plot_takoperf(docs, outdir):
-    """Throughput + ensemble-speedup trends across takoperf-v1 artifacts.
+    """Ensemble-speedup trend across takoperf-v1 artifacts.
 
-    Two charts: (1) end-to-end takosim events/sec (the number that
-    bounds figure-bench scale) against the raw event-queue
-    schedule/fire microbenchmark; (2) the shard_ensemble wall-clock
-    speedup of four replicas on four lanes over one lane. Each point is
-    one artifact in argument order labelled by its git rev; artifacts
-    tagged "untrusted" (non-Release build or dirty tree — see
-    perf_smoke.py) get a * on the label.
+    One chart: the shard_ensemble wall-clock speedup (median of the
+    alternating pairs) of four replicas on four lanes over one lane.
+    Each point is one artifact in argument order labelled by its git
+    rev; artifacts tagged "untrusted" (non-Release build or dirty tree
+    — see perf_smoke.py) get a * on the label.
     """
-    revs = [str(d.get("git_rev", "?"))[:12]
+    revs = [str(d.get("build", {}).get("git_rev", "?"))[:12]
             + ("*" if d.get("untrusted") else "") for d in docs]
-    sim_eps = [d.get("takosim", {}).get("events_per_sec", 0) / 1e6
-               for d in docs]
-    ueq = [d.get("benchmarks", {}).get("BM_EventQueueSchedule", {})
-            .get("items_per_second", 0) / 1e6 for d in docs]
     ensemble = [d.get("shard_ensemble", {}).get("speedup") for d in docs]
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print(f"{'rev':>13} {'sim Mev/s':>10} {'uqueue M/s':>10} "
-              f"{'ens spdup':>11}")
-        for r, s, u, sp in zip(revs, sim_eps, ueq, ensemble):
+    plt = pyplot()
+    if plt is None:
+        print(f"{'rev':>13} {'ens spdup':>11}")
+        for r, sp in zip(revs, ensemble):
             sp_txt = f"{sp:.2f}x" if sp is not None else "-"
-            print(f"{r:>13} {s:>10.2f} {u:>10.1f} {sp_txt:>11}")
-        print("matplotlib not available; printed summaries only")
+            print(f"{r:>13} {sp_txt:>11}")
+        print(NO_MATPLOTLIB)
         return
-
-    if any(sp is not None for sp in ensemble):
-        fig, ax = plt.subplots(figsize=(max(6, len(revs) * 0.9), 3.5))
-        ax.plot(revs, [sp if sp is not None else float("nan")
-                       for sp in ensemble],
-                marker="s", label="4-replica ensemble, 4 lanes")
-        ax.axhline(1.0, color="gray", linewidth=0.8)
-        ax.set_ylabel("wall-clock speedup vs 1 lane")
-        ax.set_ylim(bottom=0)
-        ax.set_title("Ensemble speedup trend (* = untrusted artifact)")
-        ax.legend(loc="lower right")
-        plt.xticks(rotation=30, ha="right")
-        plt.tight_layout()
-        fig.savefig(f"{outdir}/takoperf_ensemble_speedup.png", dpi=120)
-        plt.close(fig)
-        print(f"wrote ensemble speedup trend to "
-              f"{outdir}/takoperf_ensemble_speedup.png")
 
     fig, ax = plt.subplots(figsize=(max(6, len(revs) * 0.9), 3.5))
-    ax.plot(revs, sim_eps, marker="o", label="takosim (end-to-end)")
-    ax.set_ylabel("M events/s (takosim)")
+    ax.plot(revs, [sp if sp is not None else float("nan")
+                   for sp in ensemble],
+            marker="s", label="4-replica ensemble, 4 lanes")
+    ax.axhline(1.0, color="gray", linewidth=0.8)
+    ax.set_ylabel("wall-clock speedup vs 1 lane")
     ax.set_ylim(bottom=0)
-    ax2 = ax.twinx()
-    ax2.plot(revs, ueq, marker="s", color="tab:orange",
-             label="event queue (micro)")
-    ax2.set_ylabel("M events/s (microbench)")
-    ax2.set_ylim(bottom=0)
-    ax.set_title("Simulation-kernel throughput trend")
-    lines = ax.get_lines() + ax2.get_lines()
-    ax.legend(lines, [ln.get_label() for ln in lines], loc="lower right")
+    ax.set_title("Ensemble speedup trend (* = untrusted artifact)")
+    ax.legend(loc="lower right")
     plt.xticks(rotation=30, ha="right")
     plt.tight_layout()
-    fig.savefig(f"{outdir}/takoperf_trend.png", dpi=120)
+    fig.savefig(f"{outdir}/takoperf_ensemble_speedup.png", dpi=120)
     plt.close(fig)
-    print(f"wrote takoperf trend ({len(revs)} points) to "
-          f"{outdir}/takoperf_trend.png")
+    print(f"wrote ensemble speedup trend ({len(revs)} points) to "
+          f"{outdir}/takoperf_ensemble_speedup.png")
 
 
-def plot_sections(sections, outdir, plt):
-    """Generic grouped-bar charts; returns the number written."""
+def plot_suite(sections, outdir):
+    """Bar chart per section: a takobench run or a legacy text table."""
+    plt = pyplot()
+    if plt is None:
+        for name, rows in sections.items():
+            print(f"{name}: {len(rows)} rows")
+        print(NO_MATPLOTLIB)
+        return
     wrote = 0
     for i, (name, rows) in enumerate(sections.items()):
         labels = [r[0] for r in rows if len(r) >= 2]
@@ -310,7 +277,7 @@ def plot_sections(sections, outdir, plt):
         fig.savefig(f"{outdir}/{i:02d}_{safe}.png", dpi=120)
         plt.close(fig)
         wrote += 1
-    return wrote
+    print(f"wrote {wrote} charts to {outdir}")
 
 
 def main():
@@ -349,19 +316,8 @@ def main():
             plot_takomon(sections, outdir)
             return
         if schema.startswith("takobench"):
-            plot_suite(sections, outdir)
-            return
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        for name, rows in sections.items():
-            print(f"{name}: {len(rows)} rows")
-        print("matplotlib not available; printed summaries only")
-        return
-    wrote = plot_sections(sections, outdir, plt)
-    print(f"wrote {wrote} charts to {outdir}")
+            sections = parse_suite(sections)
+    plot_suite(sections, outdir)
 
 
 if __name__ == "__main__":

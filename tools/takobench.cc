@@ -29,6 +29,7 @@
 #include "expt/report.hh"
 #include "expt/runner.hh"
 #include "expt/spec.hh"
+#include "tools/cli_flags.hh"
 
 using namespace tako::expt;
 
@@ -86,6 +87,7 @@ usage(int code)
 Options
 parse(int argc, char **argv)
 {
+    const tako::cli::Flags flags{"takobench"};
     Options o;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -113,17 +115,18 @@ parse(int argc, char **argv)
             }
             o.takosimArgs.push_back(val);
         } else if (key == "--progress") {
-            o.progressEvery =
-                val.empty() ? 1000000 : std::strtoull(val.c_str(),
-                                                      nullptr, 0);
+            o.progressEvery = val.empty() ? 0 : flags.num(key, val);
             if (o.progressEvery == 0)
                 o.progressEvery = 1000000;
-        } else if (arg == "-j") {
-            if (i + 1 >= argc)
+        } else if (arg.rfind("-j", 0) == 0) {
+            if (arg == "-j" && i + 1 >= argc)
                 usage(2);
-            o.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-            o.jobs = static_cast<unsigned>(std::atoi(arg.c_str() + 2));
+            o.jobs = flags.num<unsigned>("-j", arg == "-j" ? argv[++i]
+                                                           : arg.substr(2));
+            if (o.jobs == 0) {
+                std::fprintf(stderr, "takobench: -j must be at least 1\n");
+                std::exit(2);
+            }
         } else if (arg.rfind("-", 0) == 0) {
             std::fprintf(stderr, "takobench: unknown option '%s'\n\n",
                          arg.c_str());

@@ -15,8 +15,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,9 +25,11 @@
 #include <string>
 
 #include "gitrev.hh"
+#include "mem/memory_system.hh"
 #include "prof/profiler.hh"
 #include "sim/lanes.hh"
 #include "sim/tracesink.hh"
+#include "tools/cli_flags.hh"
 #include "workloads/registry.hh"
 
 using namespace tako;
@@ -161,28 +161,10 @@ listWorkloads(int code = 0)
     std::exit(code);
 }
 
-/** The value of numeric flag @p key, or exit 2 naming the flag: a
- *  malformed number must not become a silent 0 or a truncated value. */
-std::uint64_t
-parseNum(const std::string &key, const std::string &v,
-         std::uint64_t max = UINT64_MAX)
-{
-    char *end = nullptr;
-    errno = 0;
-    const std::uint64_t n = std::strtoull(v.c_str(), &end, 0);
-    if (v.empty() || v[0] == '-' || v[0] == '+' || *end != '\0' ||
-        errno == ERANGE || n > max) {
-        std::fprintf(stderr,
-                     "takosim: %s expects an unsigned integer, got '%s'\n",
-                     key.c_str(), v.c_str());
-        std::exit(2);
-    }
-    return n;
-}
-
 Options
 parse(int argc, char **argv)
 {
+    const cli::Flags flags{"takosim"};
     Options o;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -209,19 +191,19 @@ parse(int argc, char **argv)
         else if (key == "--trace-record")
             o.traceRecord = val;
         else if (key == "--cores")
-            o.cores = static_cast<unsigned>(parseNum(key, val, UINT_MAX));
+            o.cores = flags.num<unsigned>(key, val, MemorySystem::maxTiles);
         else if (key == "--l1")
-            o.l1 = parseNum(key, val);
+            o.l1 = flags.num(key, val);
         else if (key == "--l2")
-            o.l2 = parseNum(key, val);
+            o.l2 = flags.num(key, val);
         else if (key == "--l3bank")
-            o.l3bank = parseNum(key, val);
+            o.l3bank = flags.num(key, val);
         else if (key == "--vertices")
-            o.vertices = parseNum(key, val);
+            o.vertices = flags.num(key, val);
         else if (key == "--txbytes")
-            o.txBytes = parseNum(key, val);
+            o.txBytes = flags.num(key, val);
         else if (key == "--seed")
-            o.seed = parseNum(key, val);
+            o.seed = flags.num(key, val);
         else if (key == "--stats")
             o.dumpStats = true;
         else if (key == "--stats-json")
@@ -241,20 +223,19 @@ parse(int argc, char **argv)
                 std::exit(2);
             }
         } else if (key == "--mon-every")
-            o.sampleEvery = parseNum(key, val);
+            o.sampleEvery = flags.num(key, val);
         else if (key == "--mon-out")
             o.monOut = val;
         else if (key == "--progress")
-            o.progressEvery = val.empty() ? 1000000 : parseNum(key, val);
+            o.progressEvery = val.empty() ? 1000000 : flags.num(key, val);
         else if (key == "--log-json")
             o.logJson = val;
         else if (key == "--shards") {
-            o.shards = static_cast<unsigned>(parseNum(key, val, UINT_MAX));
+            o.shards = flags.num<unsigned>(key, val);
             if (o.shards == 0)
                 o.shards = 1;
         } else if (key == "--replicate") {
-            o.replicate =
-                static_cast<unsigned>(parseNum(key, val, UINT_MAX));
+            o.replicate = flags.num<unsigned>(key, val);
             if (o.replicate == 0)
                 o.replicate = 1;
         } else if (key == "--mon-sample") {

@@ -24,6 +24,7 @@
 #include <iostream>
 #include <string>
 
+#include "tools/cli_flags.hh"
 #include "trace/gen.hh"
 #include "trace/reader.hh"
 #include "trace/textio.hh"
@@ -72,21 +73,10 @@ usage(int code)
     std::exit(code);
 }
 
-std::uint64_t
-parseNum(const std::string &v)
-{
-    return std::strtoull(v.c_str(), nullptr, 0);
-}
-
-double
-parseFrac(const std::string &v)
-{
-    return std::strtod(v.c_str(), nullptr);
-}
-
 Options
 parse(int argc, char **argv)
 {
+    const cli::Flags flags{"takotracegen"};
     Options o;
     bool kindSet = false;
     for (int i = 1; i < argc; ++i) {
@@ -107,35 +97,35 @@ parse(int argc, char **argv)
         else if (key == "--dump")
             o.dump = val;
         else if (key == "--limit")
-            o.dumpLimit = parseNum(val);
+            o.dumpLimit = flags.num(key, val);
         else if (key == "--records")
-            o.gen.records = parseNum(val);
+            o.gen.records = flags.num(key, val);
         else if (key == "--tenants")
-            o.gen.tenants = static_cast<std::uint32_t>(parseNum(val));
+            o.gen.tenants = flags.num<std::uint32_t>(key, val);
         else if (key == "--seed")
-            o.gen.seed = parseNum(val);
+            o.gen.seed = flags.num(key, val);
         else if (key == "--theta")
-            o.gen.theta = parseFrac(val);
+            o.gen.theta = flags.frac(key, val);
         else if (key == "--keys")
-            o.gen.keys = parseNum(val);
+            o.gen.keys = flags.num(key, val);
         else if (key == "--value-bytes")
-            o.gen.valueBytes = static_cast<std::uint32_t>(parseNum(val));
+            o.gen.valueBytes = flags.num<std::uint32_t>(key, val);
         else if (key == "--store-frac")
-            o.gen.storeFraction = parseFrac(val);
+            o.gen.storeFraction = flags.frac(key, val);
         else if (key == "--nodes")
-            o.gen.nodes = parseNum(val);
+            o.gen.nodes = flags.num(key, val);
         else if (key == "--leaf-frac")
-            o.gen.leafFraction = parseFrac(val);
+            o.gen.leafFraction = flags.frac(key, val);
         else if (key == "--rows")
-            o.gen.rows = parseNum(val);
+            o.gen.rows = flags.num(key, val);
         else if (key == "--row-bytes")
-            o.gen.rowBytes = static_cast<std::uint32_t>(parseNum(val));
+            o.gen.rowBytes = flags.num<std::uint32_t>(key, val);
         else if (key == "--batch")
-            o.gen.batch = static_cast<std::uint32_t>(parseNum(val));
+            o.gen.batch = flags.num<std::uint32_t>(key, val);
         else if (key == "--no-timestamps")
             o.gen.timestamps = false;
         else if (key == "--chunk-records")
-            o.chunkRecords = static_cast<std::uint32_t>(parseNum(val));
+            o.chunkRecords = flags.num<std::uint32_t>(key, val);
         else {
             std::fprintf(stderr,
                          "takotracegen: unknown option '%s' (valid "
@@ -243,7 +233,9 @@ main(int argc, char **argv)
         }
     }
     if (rc != 0) {
+        // A failed run leaves no half-written trace behind.
         writer.close();
+        std::remove(o.out.c_str());
         return rc;
     }
     const std::uint64_t written = writer.recordsWritten();

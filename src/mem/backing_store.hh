@@ -13,10 +13,8 @@
 #define TAKO_MEM_BACKING_STORE_HH
 
 #include <array>
-#include <atomic>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -41,23 +39,24 @@ struct LineData
 };
 
 /**
- * Functional memory as a four-level radix page table: 4 KB pages under
- * interior nodes of 1024 atomic slots (8 KB each), indexed by the page
- * number ten bits per level, so the table spans 2^52 bytes.
+ * Functional memory as a four-level radix page table: 512-byte pages
+ * (eight lines) under interior nodes of 2048 slots (16 KB each). The
+ * 43-bit page number splits 10 + 11 + 11 + 11 bits from the root down,
+ * so the table spans 2^52 bytes and a lookup is four loads.
  *
- * Lookups are lock-free acquire loads, so concurrent readers never
- * contend on the common path. Interior nodes and
- * pages are created under one mutex, double-checked, and published with
- * a release store; they are never freed, so a pointer once loaded
- * cannot dangle. Word accesses go through the page pointer unguarded,
- * which is safe because coherence serializes every same-line access
- * (one M/E owner at a time) and distinct words never alias. Reads of
- * untouched pages return zero and allocate nothing.
+ * Host memory follows the lines a run writes: a page is allocated on
+ * its first write, carved from 32 KB slabs of 64 zeroed pages so a
+ * page costs no allocator header or owning pointer of its own. Reads
+ * of untouched pages return zero and allocate nothing. Nodes and
+ * slabs are never freed before the store is.
+ *
+ * A store belongs to one System, and a System runs on one thread, so
+ * the table is not thread-safe.
  */
 class BackingStore
 {
   public:
-    static constexpr std::uint64_t pageBytes = 4096;
+    static constexpr std::uint64_t pageBytes = 512;
 
     /** Read the aligned 64-bit word containing @p addr. */
     std::uint64_t
@@ -130,11 +129,14 @@ class BackingStore
     }
 
     /** Number of allocated pages (for tests and footprint checks). */
+    std::size_t allocatedPages() const { return pages_; }
+
+    /** Host bytes held: allocated pages plus interior nodes, root
+     *  included. */
     std::size_t
-    allocatedPages() const
+    footprintBytes() const
     {
-        std::lock_guard<std::mutex> g(growMu_);
-        return pages_.size();
+        return pages_ * pageBytes + (nodes_.size() + 1) * sizeof(Node);
     }
 
   private:
@@ -143,20 +145,22 @@ class BackingStore
         std::array<std::uint64_t, pageBytes / 8> words{};
     };
 
-    static constexpr unsigned levelBits = 10;
+    /** Pages carved from one slab allocation. */
+    static constexpr std::size_t slabPages = 64;
+    static constexpr unsigned levelBits = 11;
     static constexpr unsigned levels = 4;
-    /** Address bits the table covers: page offset plus four levels. */
+    /** Address bits the table covers: page offset plus four levels,
+     *  the root's one bit short. */
     static constexpr unsigned addrBits = 52;
     static constexpr std::uint64_t slotMask = (1u << levelBits) - 1;
-    static_assert((pageBytes << (levels * levelBits)) ==
+    static_assert((pageBytes << (levels * levelBits - 1)) ==
                   std::uint64_t{1} << addrBits);
 
     /** Interior node: slots hold Node * above the last level and
-     *  Page * in it. */
+     *  Page * in it. The root uses only its low 1024 slots. */
     struct Node
     {
-        std::array<std::atomic<void *>, std::size_t{1} << levelBits>
-            slots{};
+        std::array<void *, std::size_t{1} << levelBits> slots{};
     };
 
     static std::size_t
@@ -190,15 +194,14 @@ class BackingStore
     {
         const Node *n = &root_;
         for (unsigned d = 0; d + 1 < levels; ++d) {
-            n = static_cast<const Node *>(
-                n->slots[slotOf(pn, d)].load(std::memory_order_acquire));
+            n = static_cast<const Node *>(n->slots[slotOf(pn, d)]);
             if (!n)
                 return nullptr;
         }
-        return static_cast<Page *>(n->slots[slotOf(pn, levels - 1)].load(
-            std::memory_order_acquire));
+        return static_cast<Page *>(n->slots[slotOf(pn, levels - 1)]);
     }
 
+    /** Page holding @p addr, created on its first write. */
     Page &
     getPage(Addr addr)
     {
@@ -208,35 +211,32 @@ class BackingStore
         return allocPage(pn);
     }
 
-    /** Slow path: create whatever is missing on @p pn 's path. */
-    Page &
+    /** Slow path: create whatever is missing on @p pn 's path. Kept
+     *  out of line so the lookup above inlines into every write. */
+    [[gnu::noinline]] Page &
     allocPage(std::uint64_t pn)
     {
-        std::lock_guard<std::mutex> g(growMu_);
         Node *n = &root_;
         for (unsigned d = 0; d + 1 < levels; ++d) {
-            std::atomic<void *> &slot = n->slots[slotOf(pn, d)];
-            void *next = slot.load(std::memory_order_acquire);
-            if (!next) {
+            void *&slot = n->slots[slotOf(pn, d)];
+            if (!slot) {
                 nodes_.push_back(std::make_unique<Node>());
-                next = nodes_.back().get();
-                slot.store(next, std::memory_order_release);
+                slot = nodes_.back().get();
             }
-            n = static_cast<Node *>(next);
+            n = static_cast<Node *>(slot);
         }
-        std::atomic<void *> &slot = n->slots[slotOf(pn, levels - 1)];
-        if (void *page = slot.load(std::memory_order_acquire))
-            return *static_cast<Page *>(page);
-        pages_.push_back(std::make_unique<Page>());
-        Page *page = pages_.back().get();
-        slot.store(page, std::memory_order_release);
+        if (pages_ % slabPages == 0)
+            slabs_.push_back(std::make_unique<Page[]>(slabPages));
+        Page *page = &slabs_.back()[pages_ % slabPages];
+        ++pages_;
+        n->slots[slotOf(pn, levels - 1)] = page;
         return *page;
     }
 
     Node root_;
-    mutable std::mutex growMu_; ///< guards nodes_, pages_ and publication
     std::vector<std::unique_ptr<Node>> nodes_;
-    std::vector<std::unique_ptr<Page>> pages_;
+    std::vector<std::unique_ptr<Page[]>> slabs_;
+    std::size_t pages_ = 0; ///< pages carved from slabs_
 };
 
 } // namespace tako

@@ -210,6 +210,12 @@ System::stampHostStats(
         .counter("host.events_per_sec", "events/s",
                  "kernel event throughput (sim_events / seconds)")
         .set(hostSeconds_ > 0 ? events / hostSeconds_ : 0.0);
+    stats_
+        .counter("host.mem.functional_bytes", "bytes",
+                 "host memory of the real and phantom functional stores "
+                 "(pages plus radix nodes)")
+        .set(static_cast<double>(mem_->realStore().footprintBytes() +
+                                 mem_->phantomStore().footprintBytes()));
 }
 
 void

@@ -147,7 +147,8 @@ class System
     /** Harvest NoC/set-heat counters into the profiler and finalize it. */
     void finalizeProfiler();
 
-    /** Set the host.* wall-clock/throughput gauges after a run. */
+    /** Set the host.* wall-clock, throughput and functional-memory
+     *  gauges after a run. */
     void stampHostStats(std::chrono::steady_clock::time_point host_start);
 
     /**

@@ -120,6 +120,20 @@ TraceReader::open(const std::string &path)
     recordCount_ = get64(data_ + 16);
     const std::uint64_t chunkCount = get64(data_ + 24);
 
+    // Every chunk takes at least its header, so the file size bounds
+    // the count before anything is sized from it.
+    const std::uint64_t maxChunks =
+        (size_ - fileHeaderBytes) / chunkHeaderBytes;
+    if (chunkCount > maxChunks) {
+        const bool err = fail(
+            "'" + path + "': truncated or corrupt: header says " +
+            std::to_string(chunkCount) + " chunks, but " +
+            std::to_string(size_) + " bytes hold at most " +
+            std::to_string(maxChunks));
+        close();
+        return err;
+    }
+
     // --- chunk directory walk (headers only; CRCs checked lazily) -------
     std::size_t off = fileHeaderBytes;
     std::uint64_t records = 0;
@@ -163,6 +177,15 @@ TraceReader::open(const std::string &path)
             const bool err = fail(
                 "'" + path + "': truncated in chunk " +
                 std::to_string(i) + " payload (file ends early)");
+            close();
+            return err;
+        }
+        // A record is at least a head byte and a one-byte address delta.
+        if (c.records > c.payloadBytes / 2) {
+            const bool err =
+                fail("'" + path + "': chunk " + std::to_string(i) + ": " +
+                     std::to_string(c.records) + " records cannot fit in " +
+                     std::to_string(c.payloadBytes) + " payload bytes");
             close();
             return err;
         }

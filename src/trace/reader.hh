@@ -5,7 +5,10 @@
  * open() maps the file read-only and walks the chunk directory once,
  * bounds-checking every header against the file size and the header's
  * record/chunk counts — a truncated or corrupt file is rejected before
- * a single record is decoded. Payload CRCs are verified lazily, when
+ * a single record is decoded. A chunk count the file cannot hold (24
+ * bytes a chunk header) or a chunk record count its payload cannot
+ * hold (two bytes a record) is rejected too, so recordCount() is at
+ * most half the file size and safe to size a buffer from. Payload CRCs are verified lazily, when
  * iteration first enters each chunk, so opening a multi-gigabyte trace
  * stays O(chunks).
  *

@@ -1,5 +1,6 @@
 #include "trace/replay.hh"
 
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -39,6 +40,20 @@ struct ReplayStats
     Counter *atomics;
 };
 
+/**
+ * One decoded record as replay needs it. The whole trace is held as
+ * one vector of these in trace order, so it costs 16 bytes a record;
+ * the tenant is folded into its core and the timestamp dropped.
+ */
+struct ReplayRecord
+{
+    Addr addr;
+    std::uint32_t size;
+    TraceOp op;
+    std::uint16_t core; ///< tenant % cores
+};
+static_assert(sizeof(ReplayRecord) == 16);
+
 bool
 isRead(TraceOp op)
 {
@@ -57,7 +72,7 @@ isAtomic(TraceOp op)
  * a record's footprint costs what it would cost a core to walk it.
  */
 void
-expandRecord(const TraceRecord &rec, std::vector<Addr> &out)
+expandRecord(const ReplayRecord &rec, std::vector<Addr> &out)
 {
     out.clear();
     out.push_back(rec.addr & ~static_cast<Addr>(7));
@@ -108,16 +123,19 @@ issueBatch(Guest &g, TraceOp op, const std::vector<Addr> &addrs)
     }
 }
 
-/** One core's share of the trace, replayed in trace order. */
+/** Core @p core 's share of the trace, replayed in trace order. */
 Task<>
-replayCore(Guest &g, const std::vector<TraceRecord> &recs,
-           const TraceReplayConfig &cfg, ReplayStats &stats)
+replayCore(Guest &g, const std::vector<ReplayRecord> &recs,
+           std::uint16_t core, const TraceReplayConfig &cfg,
+           ReplayStats &stats)
 {
     std::vector<Addr> batch;
     std::vector<Addr> expanded;
     TraceOp curOp = TraceOp::Load;
     std::uint64_t pendingInstrs = 0;
-    for (const TraceRecord &rec : recs) {
+    for (const ReplayRecord &rec : recs) {
+        if (rec.core != core)
+            continue;
         ++*stats.records;
         expandRecord(rec, expanded);
         for (Addr a : expanded) {
@@ -169,15 +187,20 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
 {
     TraceReplayResult res;
 
-    // Decode the whole stream up front (host side): validation failures
-    // surface before any simulation runs, and partitioning is trivial.
+    // Decode the whole stream up front (host side) into one vector in
+    // trace order: validation failures surface before any simulation
+    // runs. recordCount() is bounded by the file size (the reader
+    // rejects a header or chunk that claims more records than its bytes
+    // can hold), so it is a safe reservation.
     TraceReader reader;
     if (!reader.open(cfg.path)) {
         res.error = reader.error();
         return res;
     }
     const unsigned cores = sys_cfg.mem.tiles;
-    std::vector<std::vector<TraceRecord>> perCore(cores);
+    std::vector<ReplayRecord> recs;
+    recs.reserve(reader.recordCount());
+    std::vector<bool> coreBusy(cores);
     std::set<std::uint32_t> tenants;
     TraceRecord rec;
     // Addresses at or above MorphRegistry::phantomBase (2^46) belong to
@@ -187,16 +210,17 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
     // and line offsets, and locality within any region, are preserved.
     constexpr Addr realMask = MorphRegistry::phantomBase - 1;
     while (reader.next(rec)) {
-        rec.addr &= realMask;
+        const auto core = static_cast<std::uint16_t>(rec.tenant % cores);
         tenants.insert(rec.tenant);
-        perCore[rec.tenant % cores].push_back(rec);
-        ++res.records;
+        recs.push_back({rec.addr & realMask, rec.size, rec.op, core});
+        coreBusy[core] = true;
     }
     if (!reader.error().empty()) {
         res.error = reader.error();
         return res;
     }
     reader.close();
+    res.records = recs.size();
     res.tenantsSeen = tenants.size();
     if (res.records == 0) {
         res.error = "takotrace replay: '" + cfg.path +
@@ -234,12 +258,12 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
             [done, total] { return done->value() / total; });
     }
     for (unsigned c = 0; c < cores; ++c) {
-        if (perCore[c].empty())
+        if (!coreBusy[c])
             continue;
-        const std::vector<TraceRecord> *recs = &perCore[c];
+        const auto core = static_cast<std::uint16_t>(c);
         sys.addThread(static_cast<int>(c),
-                      [recs, &cfg, &stats](Guest &g) -> Task<> {
-                          co_await replayCore(g, *recs, cfg, stats);
+                      [&recs, core, &cfg, &stats](Guest &g) -> Task<> {
+                          co_await replayCore(g, recs, core, cfg, stats);
                       });
     }
     const Tick cycles = sys.run();

@@ -4,10 +4,12 @@
  * MemorySystem / morph path as a guest workload.
  *
  * Replay is deterministic by construction: the issue order is a pure
- * function of the trace. Records are partitioned across cores by
- * `tenant % numCores` (order-preserving within a core), each core's
- * stream batches runs of same-op records into multi-ops (bounded MLP,
- * like the hand-written workloads), and records wider than one word are
+ * function of the trace. The trace is decoded once, before the System
+ * is built, into one vector of 16-byte records (address, size, op,
+ * core) in trace order. Record i belongs to core `tenant % numCores`;
+ * each core walks the vector and replays its own records in trace
+ * order, batching runs of same-op records into multi-ops (bounded MLP,
+ * like the hand-written workloads). Records wider than one word are
  * expanded to one access per touched cache line. Non-host metrics are
  * therefore bit-identical across -j1/-j8 (CI gates on it).
  */

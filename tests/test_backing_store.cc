@@ -1,14 +1,12 @@
 /**
  * @file
  * Unit tests for BackingStore, the radix page table holding functional
- * memory: word and line access, sparse allocation, the phantom range,
- * the table's address limit, and lock-free lookups racing allocation.
+ * memory: word and line access, sparse allocation at 512-byte pages,
+ * the phantom range, and the table's address limit.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "mem/backing_store.hh"
@@ -124,69 +122,37 @@ TEST(BackingStoreDeathTest, AddressBeyondTheTablePanics)
     EXPECT_DEATH(st.read64(~Addr(0) - 7), "0xfffffffffffffff8");
 }
 
-TEST(BackingStore, ConcurrentWritersAndReaders)
+TEST(BackingStore, PagesFollowWrittenLines)
 {
-    // Four writers fill disjoint pages that share interior nodes, so
-    // node and page publication race each other, while two readers
-    // look up a read-only region and the writers' never-written words.
-    constexpr unsigned writers = 4;
-    constexpr unsigned pagesPerWriter = 96;
-    constexpr unsigned wordsWritten = 8;
-    constexpr Addr region = Addr(1) << 40;
-    constexpr Addr readOnly = Addr(1) << 20;
-    constexpr std::uint64_t page = BackingStore::pageBytes;
-
-    auto pageOf = [](unsigned w, unsigned i) {
-        // Interleave writers page by page; every 8th page jumps to a
-        // fresh interior node.
-        const Addr pn = Addr(i) * writers + w;
-        return region + (pn % 8 + (pn / 8) * 1024 * 1024) * page;
-    };
-    auto value = [](unsigned w, unsigned i, unsigned k) {
-        return (std::uint64_t(w) << 40) | (std::uint64_t(i) << 8) | k;
-    };
-
+    // One word in each of 100 lines, each line in its own 4 KB region:
+    // 100 pages of 512 bytes. The 100 pages span two slabs.
     BackingStore st;
-    for (unsigned k = 0; k < 64; ++k)
-        st.write64(readOnly + k * page, k + 1);
+    auto lineOf = [](unsigned i) {
+        return Addr(i) * 4096 + (i % 8) * lineBytes;
+    };
+    for (unsigned i = 0; i < 100; ++i)
+        st.write64(lineOf(i) + 8, 1000 + i);
+    EXPECT_EQ(st.allocatedPages(), 100u);
+    // Root plus one node on each level below it, 2048 pointers each.
+    EXPECT_EQ(st.footprintBytes(),
+              100 * BackingStore::pageBytes + 4 * 2048 * sizeof(void *));
 
-    std::atomic<bool> done{false};
-    std::atomic<unsigned> readerErrors{0};
-    std::vector<std::thread> threads;
-    for (unsigned r = 0; r < 2; ++r) {
-        threads.emplace_back([&] {
-            do {
-                for (unsigned k = 0; k < 64; ++k) {
-                    if (st.read64(readOnly + k * page) != k + 1)
-                        ++readerErrors;
-                }
-                for (unsigned w = 0; w < writers; ++w) {
-                    for (unsigned i = 0; i < pagesPerWriter; ++i) {
-                        if (st.read64(pageOf(w, i) + page - 8) != 0)
-                            ++readerErrors;
-                    }
-                }
-            } while (!done.load(std::memory_order_relaxed));
-        });
+    // Every other line of those 512-byte pages shares its allocation.
+    for (unsigned i = 0; i < 100; ++i) {
+        const Addr page = lineOf(i) / BackingStore::pageBytes *
+                          BackingStore::pageBytes;
+        for (Addr a = page; a < page + BackingStore::pageBytes;
+             a += lineBytes)
+            if (a != lineOf(i))
+                st.write64(a, 1);
     }
-    std::vector<std::thread> writerThreads;
-    for (unsigned w = 0; w < writers; ++w) {
-        writerThreads.emplace_back([&, w] {
-            for (unsigned i = 0; i < pagesPerWriter; ++i)
-                for (unsigned k = 0; k < wordsWritten; ++k)
-                    st.write64(pageOf(w, i) + 8 * k, value(w, i, k));
-        });
+    EXPECT_EQ(st.allocatedPages(), 100u);
+    for (unsigned i = 0; i < 100; ++i) {
+        EXPECT_EQ(st.read64(lineOf(i) + 8), 1000 + i);
+        EXPECT_EQ(st.read64(lineOf(i)), 0u);
     }
-    for (std::thread &t : writerThreads)
-        t.join();
-    done = true;
-    for (std::thread &t : threads)
-        t.join();
 
-    EXPECT_EQ(readerErrors.load(), 0u);
-    EXPECT_EQ(st.allocatedPages(), 64u + writers * pagesPerWriter);
-    for (unsigned w = 0; w < writers; ++w)
-        for (unsigned i = 0; i < pagesPerWriter; ++i)
-            for (unsigned k = 0; k < wordsWritten; ++k)
-                ASSERT_EQ(st.read64(pageOf(w, i) + 8 * k), value(w, i, k));
+    // The next 512 bytes of a 4 KB region are a page of their own.
+    st.write64(lineOf(0) + BackingStore::pageBytes, 7);
+    EXPECT_EQ(st.allocatedPages(), 101u);
 }

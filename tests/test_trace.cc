@@ -312,6 +312,62 @@ TEST_F(TraceCorruption, RecordCountMismatchRejected)
     expectLoudFailure("records");
 }
 
+TEST_F(TraceCorruption, ChunkCountBeyondFileSizeRejected)
+{
+    // chunkCount u64 at offset 24. The reader must bound it by the file
+    // size before sizing anything from it, in open() and in replay.
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+        for (unsigned b = 0; b < 8; ++b)
+            bytes_[24 + b] = static_cast<std::uint8_t>(count >> (8 * b));
+        expectLoudFailure("chunks, but");
+
+        TraceReplayConfig cfg;
+        cfg.path = file_->path();
+        const TraceReplayResult res =
+            runTraceReplay(cfg, SystemConfig::forCores(2));
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error.find("chunks, but"), std::string::npos)
+            << res.error;
+    }
+}
+
+TEST_F(TraceCorruption, ChunkRecordsBeyondPayloadRejected)
+{
+    // Raise the last chunk's record count (u32 at +4 in its header) to
+    // 2^32 - 1 and the header's recordCount to match, so the directory
+    // stays consistent: only the payload size shows the lie. Replay
+    // reserves from recordCount(), so it must not get this far.
+    TraceReader r;
+    ASSERT_TRUE(r.open(file_->path())) << r.error();
+    const std::uint64_t chunks = r.chunkCount();
+    r.close();
+    std::size_t off = fileHeaderBytes;
+    std::uint32_t records = 0;
+    std::uint32_t payload = 0;
+    for (std::uint64_t i = 0; i < chunks; ++i) {
+        std::memcpy(&records, bytes_.data() + off + 4, 4);
+        std::memcpy(&payload, bytes_.data() + off + 8, 4);
+        if (i + 1 < chunks)
+            off += chunkHeaderBytes + payload;
+    }
+    const std::uint32_t lie = 0xffffffffu;
+    std::memcpy(bytes_.data() + off + 4, &lie, 4);
+    std::uint64_t total = 0;
+    std::memcpy(&total, bytes_.data() + 16, 8);
+    total += lie - records;
+    std::memcpy(bytes_.data() + 16, &total, 8);
+    expectLoudFailure("records cannot fit in");
+
+    TraceReplayConfig cfg;
+    cfg.path = file_->path();
+    const TraceReplayResult res =
+        runTraceReplay(cfg, SystemConfig::forCores(2));
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("records cannot fit in"), std::string::npos)
+        << res.error;
+}
+
 TEST(TraceCodec, ReservedHeadBitsRejected)
 {
     // Hand-build a one-chunk file whose single record sets a reserved
@@ -581,6 +637,55 @@ TEST(TraceReplay, RecorderRoundTripReplays)
     const TraceReplayResult second = runTraceReplay(cfg2, tinySystem(4));
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_EQ(second.records, recorded);
+}
+
+TEST(TraceReplay, EachCoreReplaysItsOwnRecordsInTraceOrder)
+{
+    // Seven tenants on four cores, records up to several lines wide:
+    // the re-recorded stream, split by tile, must be each core's
+    // records expanded to accesses, in trace order.
+    constexpr unsigned cores = 4;
+    ScratchFile src("src.takotrace"), rec("rec.takotrace");
+    std::vector<TraceRecord> recs;
+    std::uint64_t x = 12345;
+    for (int i = 0; i < 600; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        TraceRecord r;
+        r.op = static_cast<TraceOp>((x >> 20) % numTraceOps);
+        r.addr = 0x40'0000ull + ((x >> 30) % 4096) * 8 + (x >> 60);
+        r.size = (x & 3) ? 8 : 1 + static_cast<std::uint32_t>(x % 300);
+        r.tenant = static_cast<std::uint32_t>((x >> 40) % 7);
+        recs.push_back(r);
+    }
+    writeTrace(src.path(), recs, false);
+
+    TraceReplayConfig cfg;
+    cfg.path = src.path();
+    cfg.recordPath = rec.path();
+    const TraceReplayResult res = runTraceReplay(cfg, tinySystem(cores));
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.tenantsSeen, 7u);
+
+    using Access = std::pair<Addr, TraceOp>;
+    std::vector<std::vector<Access>> expected(cores), recorded(cores);
+    for (const TraceRecord &r : recs) {
+        std::vector<Access> &out = expected[r.tenant % cores];
+        out.emplace_back(r.addr & ~Addr(7), r.op);
+        const Addr last = lineAlign(r.addr + r.size - 1);
+        for (Addr l = lineAlign(r.addr) + lineBytes; l <= last;
+             l += lineBytes)
+            out.emplace_back(l, r.op);
+    }
+    TraceReader reader;
+    ASSERT_TRUE(reader.open(rec.path())) << reader.error();
+    TraceRecord got;
+    while (reader.next(got)) {
+        ASSERT_LT(got.tenant, cores);
+        recorded[got.tenant].emplace_back(got.addr, got.op);
+    }
+    ASSERT_TRUE(reader.error().empty()) << reader.error();
+    for (unsigned c = 0; c < cores; ++c)
+        EXPECT_EQ(recorded[c], expected[c]) << "core " << c;
 }
 
 TEST(TraceReplay, FoldsPhantomSpaceAddressesIntoRealSpace)

@@ -118,6 +118,12 @@ def validate(path):
         raise TraceError(f"unknown flag bits {flags:#x}")
     timestamps = bool(flags & FLAG_TIMESTAMPS)
 
+    max_chunks = (len(data) - FILE_HEADER.size) // CHUNK_HEADER.size
+    if chunk_count > max_chunks:
+        raise TraceError(
+            f"truncated or corrupt: header says {chunk_count} chunks, "
+            f"but {len(data)} bytes hold at most {max_chunks}")
+
     pos = FILE_HEADER.size
     total = 0
     last_ts = 0
@@ -138,6 +144,11 @@ def validate(path):
         end = start + payload_bytes
         if end > len(data):
             raise TraceError(f"truncated in chunk {ci} payload")
+        # A record is at least a head byte and a one-byte address delta.
+        if crecords > payload_bytes // 2:
+            raise TraceError(
+                f"chunk {ci}: {crecords} records cannot fit in "
+                f"{payload_bytes} payload bytes")
         got = binascii.crc32(data[start:end])
         if got != crc:
             raise TraceError(
